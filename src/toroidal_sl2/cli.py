@@ -185,6 +185,8 @@ def _singular_scan_job(packed):
 
 def _run_singular(args, out, err) -> int:
     w, hw = _parse_weight(args.weight)
+    if args.jobs < 1:
+        raise CliInputError(f"jobs: must be >= 1, got {args.jobs}")
     if args.eta is not None:
         eta = _parse_pair(args.eta, "eta")
         if eta[0] < 0 or eta[1] < 0:
@@ -263,6 +265,8 @@ def _run_quotient_char(args, out, err) -> int:
                             f"k1 - n1 to be nonnegative integers (n1={hw.n1}, n0={hw.n0})")
     if args.depth < 0:
         raise CliInputError(f"depth: must be >= 0, got {args.depth}")
+    if args.jobs < 1:
+        raise CliInputError(f"jobs: must be >= 1, got {args.jobs}")
     etas = _etas_to_depth(args.depth)
     if args.jobs > 1:
         packed = [(str(hw.n1), str(hw.k1), str(hw.d1), str(hw.d2), eta) for eta in etas]

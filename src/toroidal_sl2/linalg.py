@@ -1,11 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Kernels and ranks are computed by fraction-free (Bareiss) elimination on
-integer matrices obtained by clearing denominators row by row.  Pivots are
-chosen over all remaining rows and columns, taking a nonzero entry of
-smallest bit size; this keeps intermediate entries (which are minors of
-the original matrix) as small as the data allows without changing any
-exact result.
+Each row is scaled to a primitive integer row and kept sparse, as a dict
+column -> value.  Elimination stays in the integers and touches only the
+rows with a nonzero in the pivot column, replacing each by the primitive
+part of (p/g) row - (f/g) pivot row, g = gcd(p, f).  Pivots follow
+Markowitz: the column with the fewest active rows, in it the row with the
+fewest nonzeros, then the smallest entry, ties to the lowest index.  The
+pivot rows, in elimination order, are an echelon basis of the row space.
+Kernel vectors come from them by back-substitution and are returned in a
+form that does not depend on the pivot order: the reduced row echelon
+form of the kernel, each vector made primitive.
 """
 
 from __future__ import annotations
@@ -17,125 +21,115 @@ from typing import Sequence
 Row = list[Fraction]
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+def _content_free(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return row if g == 1 else {j: v // g for j, v in row.items()}
+
+
+def _sparse_rows(rows: Sequence[Sequence[Fraction]]) -> list[dict[int, int]]:
     out = []
     for row in rows:
-        denom = lcm(*(c.denominator for c in row)) if row else 1
-        out.append([int(c * denom) for c in row])
+        nonzero = [(j, c) for j, c in enumerate(row) if c]
+        denom = lcm(*(c.denominator for _, c in nonzero))
+        out.append(_content_free({j: c.numerator * (denom // c.denominator)
+                                  for j, c in nonzero}))
     return out
 
 
-def _echelonize(mat: list[list[int]]) -> tuple[list[list[int]], list[int], list[int]]:
-    """Fraction-free echelon form with full pivoting.
+def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Pivots (column, row) in elimination order.
 
-    Returns (matrix, pivot_cols, col_order): after the elimination the
-    matrix, with columns read in col_order, is upper triangular on its
-    first r rows, r = len(pivot_cols).  pivot_cols[i] is the original
-    column index of the i-th pivot.
+    Each pivot row is zero in the columns of the pivots before it, so the
+    rows are in echelon form when read in this order.
     """
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    col_order = list(range(ncols))
-    pivot_cols: list[int] = []
-    prev_pivot = 1
-    r = 0
-    while r < nrows and r < ncols:
-        best = None
-        for i in range(r, nrows):
-            row = mat[i]
-            for jj in range(r, ncols):
-                v = row[col_order[jj]]
-                if v:
-                    size = v.bit_length()
-                    if best is None or size < best[0]:
-                        best = (size, i, jj)
-                        if size == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        mat[r], mat[pi] = mat[pi], mat[r]
-        col_order[r], col_order[pj] = col_order[pj], col_order[r]
-        pc = col_order[r]
-        pivot = mat[r][pc]
-        for i in range(r + 1, nrows):
-            row = mat[i]
-            factor = row[pc]
-            prow = mat[r]
-            for jj in range(r, ncols):
-                j = col_order[jj]
-                num = pivot * row[j] - factor * prow[j]
-                q, rem = divmod(num, prev_pivot)
-                assert rem == 0, "fraction-free update must divide exactly"
-                row[j] = q
-            row[pc] = 0
-        pivot_cols.append(pc)
-        prev_pivot = pivot
-        r += 1
-    return mat, pivot_cols, col_order
+    active = {i: row for i, row in enumerate(rows) if row}
+    rows_in: dict[int, set[int]] = {}
+    for i, row in active.items():
+        for j in row:
+            rows_in.setdefault(j, set()).add(i)
+    pivots = []
+    while rows_in:
+        pc = min(rows_in, key=lambda j: (len(rows_in[j]), j))
+        pi = min(rows_in[pc], key=lambda i: (len(active[i]), abs(active[i][pc]), i))
+        prow = active.pop(pi)
+        for j in prow:
+            rows_in[j].discard(pi)
+        p = prow[pc]
+        for i in list(rows_in[pc]):
+            row = active[i]
+            g = gcd(p, row[pc])
+            a, b = p // g, row[pc] // g
+            new = {j: a * v for j, v in row.items()}
+            for j, v in prow.items():
+                w = new.get(j, 0) - b * v
+                if w:
+                    new[j] = w
+                    rows_in[j].add(i)
+                else:
+                    del new[j]
+                    rows_in[j].discard(i)
+            if new:
+                active[i] = _content_free(new)
+            else:
+                del active[i]
+        for j in prow:
+            if not rows_in[j]:
+                del rows_in[j]
+        pivots.append((pc, prow))
+    return pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a matrix given as a list of rows."""
-    if not rows:
-        return 0
-    mat = _integer_rows(rows)
-    _, pivots, _ = _echelonize(mat)
-    return len(pivots)
+    return len(_eliminate(_sparse_rows(rows)))
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
     """Basis of the right kernel {x : A x = 0}.
 
-    Kernel vectors are normalized to be integral and primitive with a
-    positive leading entry, and are returned ordered by their free column.
-    An empty matrix (no rows) yields the standard basis.
+    The basis is the reduced row echelon form of the kernel with each
+    vector scaled to be integral and primitive, so its leading entry is
+    positive; vectors are ordered by their leading column.  An empty
+    matrix (no rows) yields the standard basis.
     """
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
     assert all(len(r) == ncols for r in rows)
-    mat = _integer_rows(rows)
-    mat, pivot_cols, col_order = _echelonize(mat)
-    r = len(pivot_cols)
-    free_cols = [c for c in col_order[r:]]
-    basis: list[Row] = []
-    for fc in sorted(free_cols):
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        # back-substitute through the triangular rows
-        for i in range(r - 1, -1, -1):
-            pc = pivot_cols[i]
-            s = sum((mat[i][col_order[jj]] * x[col_order[jj]]
-                     for jj in range(i + 1, ncols)), Fraction(0))
-            x[pc] = -s / mat[i][pc]
-        basis.append(_primitive(x))
-    return basis
+    pivots = _eliminate(_sparse_rows(rows))
+    pivot_cols = {pc for pc, _ in pivots}
+    kernel = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        x = {fc: Fraction(1)}
+        for pc, prow in reversed(pivots):
+            s = sum(v * x[j] for j, v in prow.items() if j in x)
+            if s:
+                x[pc] = -s / prow[pc]
+        kernel.append(_dense(x, ncols))
+    return [_dense(v, ncols) for v in _sparse_rows(_reduced_echelon(kernel))]
 
 
-def _primitive(x: Row) -> Row:
-    denom = lcm(*(c.denominator for c in x))
-    ints = [int(c * denom) for c in x]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g == 0:
-        return [Fraction(0)] * len(x)
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        g = -g
-    return [Fraction(v, g) for v in ints]
+def _reduced_echelon(mat: list[Row]) -> list[Row]:
+    """Gauss-Jordan reduction of linearly independent rows."""
+    for r in range(len(mat)):
+        j, i = min((next(j for j, c in enumerate(mat[i]) if c), i)
+                   for i in range(r, len(mat)))
+        lead = mat[i]
+        mat[i] = mat[r]
+        mat[r] = [c / lead[j] for c in lead]
+        for i, row in enumerate(mat):
+            if i != r and row[j]:
+                mat[i] = [a - row[j] * b for a, b in zip(row, mat[r])]
+    return mat
 
 
 def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
     """A basis of the row space, as primitive integer rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = _integer_rows(rows)
-    mat, pivot_cols, _ = _echelonize(mat)
-    return [_primitive([Fraction(v) for v in mat[i]]) for i in range(len(pivot_cols))]
+    ncols = len(rows[0]) if rows else 0
+    return [_dense(prow, ncols) for _, prow in _eliminate(_sparse_rows(rows))]
+
+
+def _dense(row: dict, ncols: int) -> Row:
+    return [Fraction(row.get(j, 0)) for j in range(ncols)]
 
 
 def matvec(rows: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Row:

@@ -111,15 +111,6 @@ def is_positive(r: RootVector) -> bool:
     )
 
 
-def is_affine_positive(r: RootVector) -> bool:
-    """Positivity in the horizontal affine subalgebra (delta2-degree 0)."""
-    if r.n2 != 0:
-        return False
-    if classify(r) == NOT_ROOT:
-        raise ValueError(f"not a root: {r!r}")
-    return (r.a == 1 and r.n1 >= 0) or (r.a == -1 and r.n1 >= 1) or (r.a == 0 and r.n1 >= 1)
-
-
 def q1_coords(eta: RootVector) -> tuple[int, int]:
     """Coordinates (a0, a1) of eta in the simple-root basis alpha0, alpha1.
 
@@ -214,7 +205,10 @@ class Weight:
             if not isinstance(raw, str) or not _RATIONAL_RE.fullmatch(raw.strip()):
                 raise ValueError(f"weight field '{field}': invalid rational {raw!r} "
                                  "(use 'p/q' in lowest terms)")
-            vals[field] = frac(raw)
+            try:
+                vals[field] = frac(raw)
+            except ZeroDivisionError:
+                raise ValueError(f"weight field '{field}': zero denominator in {raw!r}") from None
         extra = set(obj) - {"h", "c1", "c2", "d1", "d2"}
         if extra:
             raise ValueError(f"weight field '{sorted(extra)[0]}': unknown field")

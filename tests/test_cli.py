@@ -138,6 +138,7 @@ def test_output_is_byte_stable():
     ('{"h":"0","c1":"0","c2":"0","d1":"0"}', "d2"),
     ('{"h":"0","c1":"0","c2":"1","d1":"0","d2":"0"}', "c2"),
     ('{"h":"zz","c1":"0","c2":"0","d1":"0","d2":"0"}', "h"),
+    ('{"h":"1/0","c1":"0","c2":"0","d1":"0","d2":"0"}', "h"),
     ('{"h":"0","c1":"-1","c2":"0","d1":"0","d2":"0"}', "c1"),
     ("not json", "JSON"),
 ])
@@ -156,6 +157,19 @@ def test_invalid_inputs_exit_two():
     assert code == 2 and "k1" in err
     code, _, err = invoke("reflect", "--weight", W11, "--beta", "0,1,0")
     assert code == 2 and "real" in err
+
+
+@pytest.mark.parametrize("command", [("singular", "--depth", "2"),
+                                     ("singular", "--eta", "1,1"),
+                                     ("quotient-char", "--depth", "2")])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exit_two(command, jobs, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr("toroidal_sl2.cli.ProcessPoolExecutor", no_pool)
+    code, out, err = invoke(command[0], "--weight", W11, *command[1:], "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "jobs" in err
 
 
 def test_parallel_scan_matches_sequential():

@@ -1,6 +1,7 @@
-"""Exact kernel and rank computations."""
+"""Exact kernel and rank computations, against a dense reference."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from toroidal_sl2 import linalg
 
@@ -57,13 +58,23 @@ def test_rank_nullity(rng):
 
 
 def test_kernel_vectors_are_primitive_integers(rng):
-    for _ in range(20):
-        a = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)]
-             for _ in range(3)]
-        for v in linalg.nullspace(a, 5):
+    cases = [[[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)]
+              for _ in range(3)] for _ in range(20)]
+    cases += [sparse_matrix(rng, 6, 9, 0.3) for _ in range(20)]
+    for a in cases:
+        kernel = linalg.nullspace(a, len(a[0]))
+        leads = []
+        for v in kernel:
             assert all(c.denominator == 1 for c in v)
-            lead = next((c for c in v if c), None)
-            assert lead is not None and lead > 0
+            assert gcd(*(int(c) for c in v)) == 1
+            lead = next((j for j, c in enumerate(v) if c), None)
+            assert lead is not None and v[lead] > 0
+            leads.append(lead)
+        # reduced echelon form: leading columns increase, and each vector
+        # vanishes at the leading columns of the others
+        assert leads == sorted(set(leads))
+        for v in kernel:
+            assert sum(1 for j in leads if v[j]) == 1
 
 
 def test_row_space_basis():
@@ -72,3 +83,105 @@ def test_row_space_basis():
     assert len(basis) == 2
     assert linalg.rank(basis) == 2
     assert linalg.rank(basis + a) == 2
+
+
+# -- an independent dense reference ------------------------------------------
+
+
+def gauss_jordan(a, ncols):
+    """Reduced row echelon form over Q: (nonzero rows, pivot columns)."""
+    m = [list(row) for row in a]
+    pivots = []
+    for j in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][j]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        m[r] = [c / m[r][j] for c in m[r]]
+        for k in range(len(m)):
+            factor = m[k][j]
+            if k != r and factor:
+                m[k] = [x - factor * y for x, y in zip(m[k], m[r])]
+        pivots.append(j)
+    return m[:len(pivots)], pivots
+
+
+def reference_kernel(a, ncols):
+    """Kernel in reduced echelon form, each vector a primitive integer row."""
+    rref, pivots = gauss_jordan(a, ncols)
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for row, p in zip(rref, pivots):
+            x[p] = -row[free]
+        basis.append(x)
+    out = []
+    for v in gauss_jordan(basis, ncols)[0]:
+        d = lcm(*(c.denominator for c in v))
+        ints = [int(c * d) for c in v]
+        g = gcd(*ints)
+        out.append([Fraction(x // g) for x in ints])
+    return out
+
+
+def sparse_matrix(rng, nrows, ncols, density):
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+             if rng.random() < density else Fraction(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def low_rank_matrix(rng, nrows, ncols, rank, density):
+    """A tall product B C of rank at most ``rank``, with repeated rows, like
+    the spanning sets of a submodule slice."""
+    b = sparse_matrix(rng, nrows, rank, 0.4)
+    c = sparse_matrix(rng, rank, ncols, density)
+    rows = [[sum((x * c[k][j] for k, x in enumerate(row)), Fraction(0))
+             for j in range(ncols)] for row in b]
+    return rows + [list(rows[rng.randrange(nrows)]) for _ in range(nrows // 4)]
+
+
+def random_cases(rng):
+    cases = [sparse_matrix(rng, rng.randint(1, 12), rng.randint(1, 12), 0.15)
+             for _ in range(40)]
+    cases += [low_rank_matrix(rng, rng.randint(10, 30), rng.randint(4, 12),
+                              rng.randint(1, 4), 0.3) for _ in range(20)]
+    return cases
+
+
+def test_rank_and_row_space_match_reference(rng):
+    for a in random_cases(rng):
+        ncols = len(a[0])
+        rref, pivots = gauss_jordan(a, ncols)
+        assert linalg.rank(a) == len(pivots)
+        basis = linalg.row_space_basis(a)
+        assert len(basis) == len(pivots)
+        assert all(c.denominator == 1 for row in basis for c in row)
+        assert all(gcd(*(int(c) for c in row)) == 1 for row in basis)
+        # equal reduced echelon forms: the same row space
+        assert gauss_jordan(basis, ncols)[0] == rref
+
+
+def test_nullspace_matches_reference(rng):
+    for a in random_cases(rng):
+        ncols = len(a[0])
+        kernel = linalg.nullspace(a, ncols)
+        assert len(kernel) == ncols - len(gauss_jordan(a, ncols)[1])
+        for v in kernel:
+            assert all(s == 0 for s in linalg.matvec(a, v))
+        assert kernel == reference_kernel(a, ncols)
+
+
+def test_kernel_does_not_depend_on_row_order_or_scale(rng):
+    wide = 0
+    for a in random_cases(rng):
+        ncols = len(a[0])
+        kernel = linalg.nullspace(a, ncols)
+        wide += len(kernel) > 1
+        for _ in range(3):
+            scales = [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) for _ in a]
+            shuffled = [[s * c for c in row] for s, row in zip(scales, a)]
+            rng.shuffle(shuffled)
+            assert linalg.nullspace(shuffled, ncols) == kernel
+    assert wide >= 10

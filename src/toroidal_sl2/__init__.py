@@ -17,8 +17,8 @@ from .roots import (ALPHA, ALPHA0, ALPHA1, DELTA1, DELTA2, RHO, CartanElement,
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, VermaModule,
                     act, dim_oracle, format_monomial, module_for,
                     parse_monomial_text, weight_space_basis)
-from .singular import (SingularCertificate, find_singular, raising_generators,
-                       scan_vs_dot_orbit, scan_weights)
+from .singular import (SingularCertificate, find_singular, orbit_report,
+                       raising_generators, scan_vs_dot_orbit, scan_weights)
 from .reducibility import (ReducibilityReport, ResonancePair, is_reducible,
                            kk_pairs, maximal_submodule_generators,
                            sufficient_kmax)
@@ -37,8 +37,8 @@ __all__ = [
     "HighestWeight", "ModuleVector", "PBWMonomial", "VermaModule", "act",
     "dim_oracle", "format_monomial", "module_for", "parse_monomial_text",
     "weight_space_basis",
-    "SingularCertificate", "find_singular", "raising_generators",
-    "scan_vs_dot_orbit", "scan_weights",
+    "SingularCertificate", "find_singular", "orbit_report",
+    "raising_generators", "scan_vs_dot_orbit", "scan_weights",
     "ReducibilityReport", "ResonancePair", "is_reducible", "kk_pairs",
     "maximal_submodule_generators", "sufficient_kmax",
     "QuotientSpace", "demo_infinite_dim", "demo_nonintegrability",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import re
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .roots import RootVector, Rational, frac
 
@@ -104,69 +104,89 @@ def basis_sort_key(b: BasisElement) -> tuple:
     return (0, -n, -m, _KIND_RANK[b.kind])
 
 
-class AlgebraElement:
-    """Finite rational linear combination of basis elements.
+def add_scaled(out: dict, terms: Mapping, scale: Rational) -> None:
+    """out += scale * terms, in place; coefficients that cancel are removed.
 
-    Stored as a map basis element -> nonzero coefficient; the map itself is
-    the canonical form.  Supports +, -, scalar *, and exact equality.
+    This is the one place that keeps linear combinations free of zero
+    coefficients.
+    """
+    for key, c in terms.items():
+        acc = out.get(key)
+        acc = scale * c if acc is None else acc + scale * c
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+
+
+class LinearCombination:
+    """Finite rational linear combination of hashable keys.
+
+    Stored as a map key -> nonzero coefficient; the map itself is the
+    canonical form.  Supports +, -, scalar *, and exact equality, which
+    also requires the same type: combinations of generators and of module
+    monomials never compare equal.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[BasisElement, Fraction]] = None):
-        clean: dict[BasisElement, Fraction] = {}
+    def __init__(self, terms: Optional[Mapping] = None):
+        self.terms: dict = {}
         if terms:
-            for b, c in terms.items():
-                c = frac(c)
-                if c:
-                    clean[b] = c
-        self.terms = clean
+            add_scaled(self.terms, {k: frac(c) for k, c in terms.items()}, 1)
 
-    @staticmethod
-    def zero() -> "AlgebraElement":
-        return AlgebraElement()
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """An instance around a map already in canonical form."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
 
-    @staticmethod
-    def basis(b: BasisElement, coeff: Rational = 1) -> "AlgebraElement":
-        return AlgebraElement({b: frac(coeff)})
+    @classmethod
+    def zero(cls):
+        return cls._wrap({})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def items(self) -> Iterator[tuple[BasisElement, Fraction]]:
+    def items(self) -> Iterator[tuple[object, Fraction]]:
         return iter(self.terms.items())
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __add__(self, other):
         out = dict(self.terms)
-        for b, c in other.terms.items():
-            acc = out.get(b, 0) + c
-            if acc:
-                out[b] = acc
-            else:
-                out.pop(b, None)
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = out
-        return res
+        add_scaled(out, other.terms, 1)
+        return self._wrap(out)
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1 * other)
+    def __sub__(self, other):
+        out = dict(self.terms)
+        add_scaled(out, other.terms, -1)
+        return self._wrap(out)
 
-    def __rmul__(self, k: Rational) -> "AlgebraElement":
-        k = frac(k)
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = {b: k * c for b, c in self.terms.items()} if k else {}
-        return res
+    def __rmul__(self, k: Rational):
+        out: dict = {}
+        add_scaled(out, self.terms, frac(k))
+        return self._wrap(out)
 
-    def __neg__(self) -> "AlgebraElement":
+    def __neg__(self):
         return -1 * self
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
+
+
+class AlgebraElement(LinearCombination):
+    """Finite rational linear combination of basis elements."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def basis(b: BasisElement, coeff: Rational = 1) -> "AlgebraElement":
+        return AlgebraElement({b: coeff})
 
     def __repr__(self) -> str:
         return f"AlgebraElement({format_element(self)})"
@@ -199,18 +219,15 @@ def _bracket_basis(x: BasisElement, y: BasisElement) -> "AlgebraElement":
 
     m, n = x.degree
     p, q = y.degree
-    out: dict[BasisElement, Fraction] = {}
+    out: dict[BasisElement, int] = {}
     lie = _SL2_BRACKET.get((x.kind, y.kind))
     if lie is not None:
         kind, coeff = lie
-        out[_loop(kind, m + p, n + q)] = Fraction(coeff)
+        out[_loop(kind, m + p, n + q)] = coeff
     if (m, n) == (-p, -q):
         form = _SL2_FORM.get((x.kind, y.kind), 0)
-        if form:
-            if m:
-                out[C1] = out.get(C1, Fraction(0)) + form * m
-            if n:
-                out[C2] = out.get(C2, Fraction(0)) + form * n
+        out[C1] = form * m
+        out[C2] = form * n
     return AlgebraElement(out)
 
 
@@ -218,28 +235,28 @@ def bracket(a: Union[AlgebraElement, BasisElement],
             b: Union[AlgebraElement, BasisElement]) -> AlgebraElement:
     """Lie bracket, extended bilinearly; result in canonical form."""
     if isinstance(a, BasisElement):
+        if isinstance(b, BasisElement):
+            return _bracket_basis(a, b)
         a = AlgebraElement.basis(a)
     if isinstance(b, BasisElement):
         b = AlgebraElement.basis(b)
-    out = AlgebraElement.zero()
+    out: dict[BasisElement, Fraction] = {}
     for x, cx in a.items():
         for y, cy in b.items():
-            out = out + (cx * cy) * _bracket_basis(x, y)
-    return out
+            add_scaled(out, _bracket_basis(x, y).terms, cx * cy)
+    return AlgebraElement._wrap(out)
+
+
+def format_terms(pairs: Iterable[tuple[str, Fraction]]) -> str:
+    """'c*x + ...' from (text of x, c) pairs; coefficients +-1 are elided."""
+    parts = [text if c == 1 else f"-{text}" if c == -1 else f"{c}*{text}"
+             for text, c in pairs]
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def format_element(x: AlgebraElement) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for b, c in sorted(x.terms.items(), key=lambda t: basis_sort_key(t[0])):
-        if c == 1:
-            parts.append(repr(b))
-        elif c == -1:
-            parts.append(f"-{b!r}")
-        else:
-            parts.append(f"{c}*{b!r}")
-    return " + ".join(parts).replace("+ -", "- ")
+    return format_terms((repr(b), c) for b, c in
+                        sorted(x.terms.items(), key=lambda t: basis_sort_key(t[0])))
 
 
 _TOKEN = re.compile(

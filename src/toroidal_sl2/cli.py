@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .algebra import bracket, format_element, parse_element, basis_sort_key
@@ -26,7 +27,7 @@ from .quotient import (demo_infinite_dim, demo_nonintegrability, lchar_oracle,
 from .reducibility import is_reducible, kk_pairs, sufficient_kmax
 from .roots import (RootVector, Weight, classify, dot_action, is_positive,
                     reflect, roots_in_box, NOT_ROOT)
-from .singular import dot_orbit_etas, find_singular, scan_weights
+from .singular import SingularCertificate, find_singular, orbit_report
 from .verma import HighestWeight, dim_oracle, module_for
 
 
@@ -176,11 +177,35 @@ def _run_dims(args, out, err) -> int:
     return 0
 
 
-def _singular_scan_job(packed):
-    n1, k1, d1, d2, eta = packed
-    hw = HighestWeight(n1, k1, d1, d2)
-    cert = find_singular(hw, eta)
-    return eta, cert.kernel_dim
+def _checked(cert: SingularCertificate) -> SingularCertificate:
+    if not cert.verified():
+        raise AssertionError(f"a kernel vector at eta {cert.eta} is not "
+                             "annihilated by the raising operators")
+    return cert
+
+
+def _kernel_dim(hw: HighestWeight, eta: tuple[int, int]) -> int:
+    return _checked(find_singular(hw, eta)).kernel_dim
+
+
+def _quotient_row(hw: HighestWeight, eta: tuple[int, int]) -> dict:
+    q = w_multiplicity(hw, eta)
+    return {"eta": list(eta), "ambient": q.ambient_dim, "submodule": q.submodule_dim,
+            "quotient": q.quotient_dim, "l_oracle": lchar_oracle(hw, eta)}
+
+
+def _map_etas(job: Callable, hw: HighestWeight, etas: list[tuple[int, int]],
+              jobs: int) -> list:
+    """[job(hw, eta) for eta in etas], on at most ``jobs`` processes.
+
+    The pool never has more workers than the machine has processors; with
+    one worker the jobs run in this process.
+    """
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
+        return [job(hw, eta) for eta in etas]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(job, [hw] * len(etas), etas))
 
 
 def _run_singular(args, out, err) -> int:
@@ -191,8 +216,7 @@ def _run_singular(args, out, err) -> int:
         eta = _parse_pair(args.eta, "eta")
         if eta[0] < 0 or eta[1] < 0:
             raise CliInputError(f"eta: coordinates must be >= 0, got {eta}")
-        cert = find_singular(hw, eta)
-        assert cert.verified()
+        cert = _checked(find_singular(hw, eta))
         doc = _envelope("singular", {"weight": w.to_json(), "eta": list(eta)},
                         cert.to_json())
         _emit_json(doc, out)
@@ -205,24 +229,10 @@ def _run_singular(args, out, err) -> int:
     if args.depth < 1:
         raise CliInputError(f"depth: must be >= 1, got {args.depth}")
     etas = _etas_to_depth(args.depth, include_zero=False)
-    if args.jobs > 1:
-        packed = [(str(hw.n1), str(hw.k1), str(hw.d1), str(hw.d2), eta) for eta in etas]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            found = {eta: dim for eta, dim in pool.map(_singular_scan_job, packed) if dim}
-    else:
-        found = scan_weights(hw, args.depth)
-    singular = [{"eta": list(eta), "kernel_dim": dim} for eta, dim in sorted(found.items())]
-    result: dict = {"depth": args.depth, "singular": singular}
-    if hw.is_dominant_integral():
-        orbit = dot_orbit_etas(hw, args.depth)
-        result["orbit"] = [list(eta) for eta in orbit]
-        result["orbit_covered"] = all(eta in found for eta in orbit)
-        result["extras"] = [list(eta) for eta in sorted(set(found) - set(orbit))]
-    else:
-        result["orbit"] = None
-        result["orbit_covered"] = None
-        result["extras"] = None
-    doc = _envelope("singular", {"weight": w.to_json(), "depth": args.depth}, result)
+    found = {eta: dim for eta, dim in zip(etas, _map_etas(_kernel_dim, hw, etas, args.jobs))
+             if dim}
+    doc = _envelope("singular", {"weight": w.to_json(), "depth": args.depth},
+                    orbit_report(hw, args.depth, found).to_json())
     _emit_json(doc, out)
     print(f"depth {args.depth}: singular weights at {sorted(found)}", file=err)
     return 0
@@ -251,13 +261,6 @@ def _run_reducible(args, out, err) -> int:
     return 0
 
 
-def _qchar_job(packed):
-    n1, k1, d1, d2, eta = packed
-    hw = HighestWeight(n1, k1, d1, d2)
-    q = w_multiplicity(hw, eta)
-    return eta, q.ambient_dim, q.submodule_dim, q.quotient_dim, lchar_oracle(hw, eta)
-
-
 def _run_quotient_char(args, out, err) -> int:
     w, hw = _parse_weight(args.weight)
     if not hw.is_dominant_integral():
@@ -267,21 +270,7 @@ def _run_quotient_char(args, out, err) -> int:
         raise CliInputError(f"depth: must be >= 0, got {args.depth}")
     if args.jobs < 1:
         raise CliInputError(f"jobs: must be >= 1, got {args.jobs}")
-    etas = _etas_to_depth(args.depth)
-    if args.jobs > 1:
-        packed = [(str(hw.n1), str(hw.k1), str(hw.d1), str(hw.d2), eta) for eta in etas]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            raw = sorted(pool.map(_qchar_job, packed),
-                         key=lambda t: (t[0][0] + t[0][1], t[0][0]))
-    else:
-        raw = []
-        for eta in etas:
-            q = w_multiplicity(hw, eta)
-            raw.append((eta, q.ambient_dim, q.submodule_dim, q.quotient_dim,
-                        lchar_oracle(hw, eta)))
-    rows = [{"eta": list(eta), "ambient": amb, "submodule": sub,
-             "quotient": quo, "l_oracle": lo}
-            for eta, amb, sub, quo, lo in raw]
+    rows = _map_etas(_quotient_row, hw, _etas_to_depth(args.depth), args.jobs)
     if args.format == "csv":
         _emit_csv(["eta", "ambient", "submodule", "quotient", "l_oracle"],
                   [[f"{r['eta'][0]},{r['eta'][1]}", r["ambient"], r["submodule"],

@@ -23,8 +23,9 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import e, f, h
-from .roots import RootVector, dot_action, q1_coords
-from .singular import RAISING, _RAISING_DROP, _raising_matrix
+# bench/tracer.py wraps quotient.dot_action by name, so the import stays
+from .roots import RootVector, dot_action, q1_coords  # noqa: F401
+from .singular import RAISING, _RAISING_DROP, _raising_matrix, dot_orbit_drops
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, dim_oracle,
                     module_for)
 
@@ -39,7 +40,10 @@ class QuotientSpace:
     quotient_dim: int
 
     def __post_init__(self):
-        assert self.quotient_dim == self.ambient_dim - self.submodule_dim >= 0
+        if not self.quotient_dim == self.ambient_dim - self.submodule_dim >= 0:
+            raise AssertionError(
+                f"quotient dimension {self.quotient_dim} at eta {self.eta} is not "
+                f"ambient {self.ambient_dim} - submodule {self.submodule_dim} >= 0")
 
 
 def _require_dominant(hw: HighestWeight) -> tuple[int, int]:
@@ -102,32 +106,20 @@ def lchar_oracle(hw: HighestWeight, eta: tuple[int, int] | RootVector) -> int:
 
     dim L_(lam - eta) = sum over Weyl words w of (-1)^len(w) *
     K(eta - (lam - w.lam)), with K the partition count of ``dim_oracle``.
-    Words are enumerated along the two alternating chains; a chain stops
-    once its drop height exceeds the height of eta, which is exact because
-    drop heights grow strictly with word length for dominant integral lam.
+    Words come from ``dot_orbit_drops`` up to the height of eta: a word
+    with a higher drop contributes K = 0.
     """
     coords = eta if isinstance(eta, tuple) else q1_coords(eta)
     _require_dominant(hw)
-    lam = hw.weight()
-    height = coords[0] + coords[1]
 
     def kostant(a0: int, a1: int) -> int:
         return dim_oracle((a0, a1)) if a0 >= 0 and a1 >= 0 else 0
 
     total = kostant(*coords)
-    for first in ("r0", "r1"):
-        word: list[str] = []
-        while True:
-            word.insert(0, "r1" if (len(word) % 2 == 0) == (first == "r1") else "r0")
-            drop = lam - dot_action(word, lam)
-            d0, d1 = drop.d1, drop.h / 2 + drop.d1
-            assert d0.denominator == 1 and d1.denominator == 1
-            d0, d1 = int(d0), int(d1)
-            if d0 + d1 > height:
-                break
-            sign = -1 if len(word) % 2 else 1
-            total += sign * kostant(coords[0] - d0, coords[1] - d1)
-    assert total >= 0
+    for length, (d0, d1) in dot_orbit_drops(hw, coords[0] + coords[1]):
+        total += (-1) ** length * kostant(coords[0] - d0, coords[1] - d1)
+    if total < 0:
+        raise AssertionError(f"character oracle is negative ({total}) at eta {coords}")
     return total
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import linalg
 from .algebra import BasisElement, basis_sort_key, e, f
@@ -128,67 +128,86 @@ def scan_weights(hw: HighestWeight, depth: int,
     return out
 
 
-def dot_orbit_etas(hw: HighestWeight, depth: int) -> list[tuple[int, int]]:
-    """Drops lam - w.lam within the depth, over the affine Weyl group.
+def dot_orbit_drops(hw: HighestWeight, height: int) -> list[tuple[int, tuple[int, int]]]:
+    """(word length, drop lam - w.lam) for Weyl words w with drop height <= height.
 
-    The group is infinite dihedral on the two simple reflections; its
-    nontrivial elements are the alternating words starting with r0 or r1.
-    For dominant integral lam the drop heights grow strictly with word
-    length, so the enumeration below each chain stops at the first
-    overflow.
+    The affine Weyl group is infinite dihedral on the two simple
+    reflections; its nontrivial elements are the alternating words starting
+    with r0 or r1.  For dominant integral lam the drop heights grow strictly
+    with word length, so each chain stops at its first overflow.
     """
     if not hw.is_dominant_integral():
         raise ValueError("dot-orbit comparison requires a dominant integral weight")
     lam = hw.weight()
-    out: set[tuple[int, int]] = set()
+    out: list[tuple[int, tuple[int, int]]] = []
     for first in ("r0", "r1"):
         word: list[str] = []
         while True:
             word.insert(0, "r1" if (len(word) % 2 == 0) == (first == "r1") else "r0")
-            drop = lam - dot_action(word, lam)
-            coords = _drop_coords(drop)
-            if coords[0] + coords[1] > depth:
+            coords = _drop_coords(lam - dot_action(word, lam))
+            if coords[0] + coords[1] > height:
                 break
-            out.add(coords)
-            if len(word) > 4 * depth + 4:
+            out.append((len(word), coords))
+            if len(word) > 4 * height + 4:
                 raise AssertionError("dot-orbit enumeration failed to terminate")
-    return sorted(out)
+    return out
+
+
+def dot_orbit_etas(hw: HighestWeight, depth: int) -> list[tuple[int, int]]:
+    """Drops lam - w.lam within the depth, over the affine Weyl group."""
+    return sorted({drop for _, drop in dot_orbit_drops(hw, depth)})
 
 
 def _drop_coords(drop: Weight) -> tuple[int, int]:
-    assert drop.c1 == 0 and drop.c2 == 0 and drop.d2 == 0
     a0 = drop.d1
     a1 = drop.h / 2 + a0
-    assert a0.denominator == 1 and a1.denominator == 1
+    if drop.c1 or drop.c2 or drop.d2 or a0.denominator != 1 or a1.denominator != 1:
+        raise AssertionError(f"dot-orbit drop {drop.to_json()} is not an integral "
+                             "combination of alpha0 and alpha1")
     return int(a0), int(a1)
 
 
 @dataclass(frozen=True)
 class OrbitScanReport:
-    """Scan of singular weights versus the shifted Weyl orbit prediction."""
+    """Scan of singular weights versus the shifted Weyl orbit prediction.
+
+    The orbit fields are None when lam is not dominant integral.
+    """
 
     depth: int
     singular: tuple[tuple[tuple[int, int], int], ...]  # (eta, kernel dim)
-    orbit: tuple[tuple[int, int], ...]
-    orbit_covered: bool       # every orbit point carries a singular vector
-    extras: tuple[tuple[int, int], ...]  # singular weights off the orbit
+    orbit: Optional[tuple[tuple[int, int], ...]]
+    orbit_covered: Optional[bool]  # every orbit point carries a singular vector
+    extras: Optional[tuple[tuple[int, int], ...]]  # singular weights off the orbit
 
     def to_json(self) -> dict:
         return {
             "depth": self.depth,
             "singular": [{"eta": list(eta), "kernel_dim": d} for eta, d in self.singular],
-            "orbit": [list(eta) for eta in self.orbit],
+            "orbit": _etas_json(self.orbit),
             "orbit_covered": self.orbit_covered,
-            "extras": [list(eta) for eta in self.extras],
+            "extras": _etas_json(self.extras),
         }
+
+
+def _etas_json(etas: Optional[tuple[tuple[int, int], ...]]) -> Optional[list[list[int]]]:
+    return None if etas is None else [list(eta) for eta in etas]
+
+
+def orbit_report(hw: HighestWeight, depth: int,
+                 found: dict[tuple[int, int], int]) -> OrbitScanReport:
+    """Compare the nonzero kernel dimensions ``found`` by a scan to the
+    given depth with {w.lam}, when lam is dominant integral."""
+    singular = tuple(sorted(found.items()))
+    if not hw.is_dominant_integral():
+        return OrbitScanReport(depth, singular, None, None, None)
+    orbit = dot_orbit_etas(hw, depth)
+    extras = tuple(sorted(set(found) - set(orbit)))
+    covered = all(eta in found for eta in orbit)
+    return OrbitScanReport(depth, singular, tuple(orbit), covered, extras)
 
 
 def scan_vs_dot_orbit(hw: HighestWeight, depth: int,
                       sort_key: SortKey = basis_sort_key) -> OrbitScanReport:
-    """Compare found singular weights with {w.lam} for dominant integral lam."""
-    found = scan_weights(hw, depth, sort_key)
-    orbit = dot_orbit_etas(hw, depth)
-    singular = tuple(sorted(found.items()))
-    extras = tuple(sorted(set(found) - set(orbit)))
-    covered = all(eta in found for eta in orbit)
-    return OrbitScanReport(depth, singular, tuple(orbit), covered, extras)
+    """Scan singular weights to the depth and compare them with {w.lam}."""
+    return orbit_report(hw, depth, scan_weights(hw, depth, sort_key))

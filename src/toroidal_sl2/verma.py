@@ -30,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import re
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .algebra import (AlgebraElement, BasisElement, basis_sort_key, bracket,
-                      e, f, h, is_cartan, weight_of, _loop)
+from .algebra import (AlgebraElement, BasisElement, LinearCombination,
+                      add_scaled, basis_sort_key, bracket, e, f, format_terms,
+                      h, is_cartan, weight_of, _loop)
 from .roots import (RootVector, Weight, Rational, frac, is_positive,
                     q1_coords)
 
@@ -41,6 +42,7 @@ PBWMonomial = tuple[tuple[BasisElement, int], ...]
 SortKey = Callable[[BasisElement], tuple]
 
 VACUUM: PBWMonomial = ()
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,69 +146,18 @@ def parse_monomial_text(text: str) -> list[tuple[BasisElement, int]]:
     return factors
 
 
-class ModuleVector:
+class ModuleVector(LinearCombination):
     """Finite rational combination of PBW monomials applied to v."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Mapping[PBWMonomial, Fraction]] = None):
-        clean: dict[PBWMonomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = frac(c)
-                if c:
-                    clean[m] = c
-        self.terms = clean
-
-    @staticmethod
-    def zero() -> "ModuleVector":
-        return ModuleVector()
+    __slots__ = ()
 
     @staticmethod
     def highest_weight_vector() -> "ModuleVector":
-        return ModuleVector({VACUUM: Fraction(1)})
+        return ModuleVector({VACUUM: 1})
 
     @staticmethod
     def monomial(m: PBWMonomial, coeff: Rational = 1) -> "ModuleVector":
-        return ModuleVector({m: frac(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return iter(self.terms.items())
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m, 0) + c
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
-        res = ModuleVector.__new__(ModuleVector)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + (-1 * other)
-
-    def __rmul__(self, k: Rational) -> "ModuleVector":
-        k = frac(k)
-        res = ModuleVector.__new__(ModuleVector)
-        res.terms = {m: k * c for m, c in self.terms.items()} if k else {}
-        return res
-
-    def __neg__(self) -> "ModuleVector":
-        return -1 * self
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return ModuleVector({m: coeff})
 
     def weight_drop(self) -> Optional[RootVector]:
         """-(total weight) shared by all monomials, or None if inhomogeneous."""
@@ -225,18 +176,7 @@ class ModuleVector:
                 for m, c in self.sorted_terms()]
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            text = format_monomial(m)
-            if c == 1:
-                parts.append(text)
-            elif c == -1:
-                parts.append(f"-{text}")
-            else:
-                parts.append(f"{c}*{text}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_terms((format_monomial(m), c) for m, c in self.sorted_terms())
 
 
 def _affine_negative_generators(a0: int, a1: int) -> list[tuple[BasisElement, tuple[int, int]]]:
@@ -333,40 +273,20 @@ class VermaModule:
             # termination: the degree-preserving part of g*tail is the
             # sorted multiset of its letters, so lead re-attaches directly.
             assert monomial_degree(m2) < deg or self.key(lead) >= self.key(m2[0][0])
-            for m3, c3 in self._act_basis(lead, m2).items():
-                acc = out.get(m3, 0) + c2 * c3
-                if acc:
-                    out[m3] = acc
-                else:
-                    del out[m3]
+            add_scaled(out, self._act_basis(lead, m2), c2)
         for b, cb in bracket(g, lead).items():
-            for m2, c2 in self._act_basis(b, tail).items():
-                acc = out.get(m2, 0) + cb * c2
-                if acc:
-                    out[m2] = acc
-                else:
-                    del out[m2]
+            add_scaled(out, self._act_basis(b, tail), cb)
         return out
 
     # -- public action ------------------------------------------------------
 
     def act(self, x: Union[AlgebraElement, BasisElement], v: ModuleVector) -> ModuleVector:
         """Action of an algebra element, straightened to canonical form."""
-        if isinstance(x, BasisElement):
-            x = AlgebraElement.basis(x)
         out: dict[PBWMonomial, Fraction] = {}
-        for b, cb in x.items():
+        for b, cb in ((x, _ONE),) if isinstance(x, BasisElement) else x.items():
             for m, cm in v.items():
-                scale = cb * cm
-                for m2, c2 in self._act_basis(b, m).items():
-                    acc = out.get(m2, 0) + scale * c2
-                    if acc:
-                        out[m2] = acc
-                    else:
-                        del out[m2]
-        res = ModuleVector.__new__(ModuleVector)
-        res.terms = out
-        return res
+                add_scaled(out, self._act_basis(b, m), cb * cm)
+        return ModuleVector._wrap(out)
 
     def apply_word(self, word: Sequence[tuple[BasisElement, int]],
                    v: Optional[ModuleVector] = None) -> ModuleVector:

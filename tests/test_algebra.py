@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from toroidal_sl2 import (AlgebraElement, RootVector, bracket, e, f,
-                          format_element, h, parse_element, weight_of)
-from toroidal_sl2.algebra import C1, C2, D1, D2
+from toroidal_sl2 import (AlgebraElement, ModuleVector, RootVector, bracket, e,
+                          f, format_element, h, parse_element, weight_of)
+from toroidal_sl2.algebra import C1, C2, D1, D2, add_scaled
 
 from conftest import random_basis_element
 
@@ -95,6 +95,25 @@ def test_grading(x, y):
         (b, _), = result.terms.items()
         if b.degree is not None and not weight_of(b).is_zero():
             assert weight_of(b) == weight_of(x) + weight_of(y)
+
+
+@given(basis_elements, basis_elements)
+def test_bracket_of_basis_elements_matches_wrapped(x, y):
+    assert bracket(x, y) == bracket(elt(x), elt(y))
+
+
+def test_combinations_of_different_types_never_equal():
+    assert AlgebraElement.zero() != ModuleVector.zero()
+    assert AlgebraElement({"k": 2}) != ModuleVector({"k": 2})
+    assert AlgebraElement({"k": 2}) == AlgebraElement({"k": Fraction(2)})
+
+
+def test_add_scaled_drops_cancelled_terms():
+    out = {e(0, 0): Fraction(1), f(0, 0): Fraction(2)}
+    add_scaled(out, {e(0, 0): Fraction(1, 2), h(0, 0): Fraction(3)}, -2)
+    assert out == {f(0, 0): 2, h(0, 0): -6}
+    assert (elt(e(0, 0)) - elt(e(0, 0))).terms == {}
+    assert (0 * elt(e(0, 0))).is_zero()
 
 
 def test_bracket_is_bilinear(rng):

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from toroidal_sl2 import (HighestWeight, ModuleVector, e, f, find_singular,
-                          h, module_for, raising_generators, scan_vs_dot_orbit,
-                          scan_weights)
-from toroidal_sl2.singular import dot_orbit_etas
+                          h, module_for, orbit_report, raising_generators,
+                          scan_vs_dot_orbit, scan_weights)
+from toroidal_sl2.singular import dot_orbit_drops, dot_orbit_etas
 
 from test_verma import alt_key
 
@@ -97,6 +97,20 @@ def test_scan_vs_orbit_depth_eight_matches_exactly():
 def test_generic_weight_scan_is_empty():
     found = scan_weights(HighestWeight(Fraction(1, 2), Fraction(1, 3)), 4)
     assert found == {}
+
+
+def test_orbit_report_for_non_dominant_weight_has_no_orbit():
+    hw = HighestWeight(3, Fraction(1, 2))
+    report = orbit_report(hw, 4, scan_weights(hw, 4))
+    assert report.singular == (((0, 4), 1), ((2, 1), 1))
+    assert report.orbit is None and report.orbit_covered is None and report.extras is None
+
+
+def test_dot_orbit_drops_walk_both_chains():
+    # (word length, drop): the r0 chain, then the r1 chain
+    assert dot_orbit_drops(HighestWeight(1, 1), 12) == [
+        (1, (1, 0)), (2, (1, 4)), (3, (8, 4)), (1, (0, 2)), (2, (5, 2))]
+    assert dot_orbit_etas(HighestWeight(1, 1), 12) == [(0, 2), (1, 0), (1, 4), (5, 2), (8, 4)]
 
 
 def test_orbit_requires_dominant_integral():

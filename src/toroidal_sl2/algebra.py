@@ -25,8 +25,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from .roots import RootVector, Rational, frac
 
 E, F, H = "e", "f", "h"
-_LOOP_KINDS = (E, F, H)
-_CONST_KINDS = ("c1", "c2", "d1", "d2")
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,10 +66,6 @@ D2 = BasisElement("d2", None)
 _CONSTANTS = {"c1": C1, "c2": C2, "d1": D1, "d2": D2}
 
 
-def is_loop(b: BasisElement) -> bool:
-    return b.degree is not None
-
-
 def is_cartan(b: BasisElement) -> bool:
     """True for elements of the Cartan subalgebra: h(0,0), c1, c2, d1, d2."""
     return b.degree is None or (b.kind == H and b.degree == (0, 0))
@@ -107,8 +101,9 @@ def basis_sort_key(b: BasisElement) -> tuple:
 def add_scaled(out: dict, terms: Mapping, scale: Rational) -> None:
     """out += scale * terms, in place; coefficients that cancel are removed.
 
-    This is the one place that keeps linear combinations free of zero
-    coefficients.
+    This is the one accumulate loop of linear combinations; the only other
+    place that drops zero coefficients is the ``LinearCombination``
+    constructor, which is handed each key once.
     """
     for key, c in terms.items():
         acc = out.get(key)
@@ -132,8 +127,10 @@ class LinearCombination:
 
     def __init__(self, terms: Optional[Mapping] = None):
         self.terms: dict = {}
-        if terms:
-            add_scaled(self.terms, {k: frac(c) for k, c in terms.items()}, 1)
+        for key, c in (terms or {}).items():
+            c = frac(c)
+            if c:
+                self.terms[key] = c
 
     @classmethod
     def _wrap(cls, terms: dict):

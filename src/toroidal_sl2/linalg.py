@@ -92,7 +92,8 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
     positive; vectors are ordered by their leading column.  An empty
     matrix (no rows) yields the standard basis.
     """
-    assert all(len(r) == ncols for r in rows)
+    if any(len(r) != ncols for r in rows):
+        raise ValueError(f"every row must have ncols = {ncols} entries")
     pivots = _eliminate(_sparse_rows(rows))
     pivot_cols = {pc for pc, _ in pivots}
     kernel = []

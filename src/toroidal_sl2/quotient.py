@@ -27,7 +27,7 @@ from .algebra import e, f, h
 from .roots import RootVector, dot_action, q1_coords  # noqa: F401
 from .singular import RAISING, _RAISING_DROP, _raising_matrix, dot_orbit_drops
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, dim_oracle,
-                    module_for)
+                    format_monomial, module_for)
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,8 @@ def quotient_singular_dim(hw: HighestWeight, eta: tuple[int, int]) -> int:
         offset += width
     nullity = len(linalg.nullspace(blocks, n + total_aux))
     dim = nullity - len(s_rows_eta)
-    assert dim >= 0
+    if dim < 0:
+        raise AssertionError(f"quotient singular space at eta {eta} has dimension {dim} < 0")
     return dim
 
 
@@ -271,13 +272,17 @@ def demo_infinite_dim(hw: HighestWeight, size: int) -> InfiniteDimReport:
             target = ((h(m, -1), 1),)
             coeff = Fraction(0)
             for mono, c in image.items():
-                assert mono == target, "image must lie on the h(m,-1) v line"
+                if mono != target:
+                    raise AssertionError(f"image {format_monomial(mono)} is off "
+                                         f"the h({m},-1) v line")
                 coeff = c
             row.append(coeff)
         matrix.append(row)
     for s in range(size):
         for m in range(size):
             expected = Fraction(2 * (s + 1)) * hw.k1 if s == m else Fraction(0)
-            assert matrix[s][m] == expected
+            if matrix[s][m] != expected:
+                raise AssertionError(f"pairing [{s + 1}][{m + 1}] is {matrix[s][m]}, "
+                                     f"not {expected}")
     diag = tuple(str(matrix[i][i]) for i in range(size))
     return InfiniteDimReport(size, diag, linalg.rank(matrix), "h(m,-1)*v")

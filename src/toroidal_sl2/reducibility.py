@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, lcm
 
-from .roots import RHO, RootVector, Weight, coroot
+from .roots import RootVector, Weight
 from .verma import HighestWeight
 
 
@@ -66,32 +66,24 @@ class ReducibilityReport:
         }
 
 
-def _pair_for(hw: HighestWeight, beta: RootVector) -> ResonancePair | None:
-    lam_rho = hw.weight() + RHO
-    val = lam_rho.pair(coroot(beta))
-    if val.denominator == 1 and val >= 1:
-        l = int(val)
-        return ResonancePair(beta, l, hw.weight() - l * Weight.from_root(beta))
-    return None
-
-
 def kk_pairs(hw: HighestWeight, kmax: int) -> list[ResonancePair]:
     """All resonance pairs with |delta1-degree of beta| <= kmax.
 
-    Enumerates beta = alpha + k*delta1 (0 <= k <= kmax) and
-    beta = -alpha + k*delta1 (1 <= k <= kmax); imaginary roots cannot
-    resonate away from the critical level, see the module docstring.
+    Evaluates l = a*(n1 + 1) + k*(k1 + 2) for beta = alpha + k*delta1
+    (a = 1, 0 <= k <= kmax) and beta = -alpha + k*delta1 (a = -1,
+    1 <= k <= kmax); imaginary roots cannot resonate away from the critical
+    level, see the module docstring.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
+    lam = hw.weight()
     out: list[ResonancePair] = []
     for k in range(kmax + 1):
-        for a in (1, -1):
-            if a == -1 and k == 0:
-                continue
-            pair = _pair_for(hw, RootVector(a, k, 0))
-            if pair is not None:
-                out.append(pair)
+        for a in (1, -1) if k else (1,):
+            l = a * (hw.n1 + 1) + k * (hw.k1 + 2)
+            if l.denominator == 1 and l >= 1:
+                beta = RootVector(a, k, 0)
+                out.append(ResonancePair(beta, int(l), lam - l * Weight.from_root(beta)))
     # order by height of l*beta in simple-root coordinates, then by family
     out.sort(key=lambda p: (p.l * (2 * p.beta.n1 + p.beta.a), p.beta.n1, -p.beta.a))
     return out
@@ -100,11 +92,12 @@ def kk_pairs(hw: HighestWeight, kmax: int) -> list[ResonancePair]:
 def sufficient_kmax(hw: HighestWeight) -> int:
     """The finite bound that makes the resonance scan a decision procedure."""
     s = hw.k1 + 2
-    assert s >= 2, "positive step requires k1 >= 0"
+    if s < 2:
+        raise AssertionError(f"resonance step k1 + 2 = {s} is below 2")
     q = lcm(hw.n1.denominator, hw.k1.denominator)
-    bound = max(1, ceil((abs(hw.n1) + 2) / s) + q)
-    assert q % s.denominator == 0, "integrality period must divide the scan padding"
-    return bound
+    if q % s.denominator:
+        raise AssertionError(f"integrality period {s.denominator} does not divide padding {q}")
+    return max(1, ceil((abs(hw.n1) + 2) / s) + q)
 
 
 def is_reducible(hw: HighestWeight) -> ReducibilityReport:

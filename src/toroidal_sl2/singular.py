@@ -28,9 +28,10 @@ from typing import Optional, Sequence, Union
 
 from . import linalg
 from .algebra import BasisElement, basis_sort_key, e, f
-from .roots import RootVector, Weight, dot_action, root_from_q1, q1_coords
+from .roots import (RootVector, Weight, dot_action, q1_coords, root_from_q1,
+                    weight_as_root)
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, SortKey,
-                    VermaModule, module_for)
+                    VermaModule, format_monomial, module_for)
 
 RAISING: tuple[BasisElement, BasisElement] = (e(0, 0), f(1, 0))
 
@@ -82,7 +83,9 @@ def _raising_matrix(engine: VermaModule, g: BasisElement,
     t0, t1 = eta[0] - d0, eta[1] - d1
     if t0 < 0 or t1 < 0:
         for m in basis:
-            assert engine.act(g, ModuleVector.monomial(m)).is_zero()
+            if not engine.act(g, ModuleVector.monomial(m)).is_zero():
+                raise AssertionError(f"{g!r} does not kill {format_monomial(m)} at eta "
+                                     f"{eta}, but its target weight space is empty")
         return []
     target = engine.weight_space_basis((t0, t1))
     index = {m: i for i, m in enumerate(target)}
@@ -159,12 +162,11 @@ def dot_orbit_etas(hw: HighestWeight, depth: int) -> list[tuple[int, int]]:
 
 
 def _drop_coords(drop: Weight) -> tuple[int, int]:
-    a0 = drop.d1
-    a1 = drop.h / 2 + a0
-    if drop.c1 or drop.c2 or drop.d2 or a0.denominator != 1 or a1.denominator != 1:
-        raise AssertionError(f"dot-orbit drop {drop.to_json()} is not an integral "
-                             "combination of alpha0 and alpha1")
-    return int(a0), int(a1)
+    try:
+        return q1_coords(weight_as_root(drop))
+    except ValueError:
+        raise AssertionError(f"dot-orbit drop {drop.to_json()} is not a nonnegative "
+                             "integral combination of alpha0 and alpha1") from None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ recursion terminates because each rewrite strictly decreases the pair
 against the word) in lexicographic order: a bracket substitution drops the
 degree by one, and the degree-preserving branch only re-sorts the original
 multiset of letters, after which the leading factor re-attaches without
-further commutation.  That last fact is asserted below.
+further commutation.  That last fact is checked below.
 
 Weight spaces.  At delta2-level 0 the weight spaces lam - eta, eta a
 nonnegative combination of the simple roots alpha0 and alpha1, are finite
@@ -249,8 +249,9 @@ class VermaModule:
 
     def _act_basis_uncached(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Fraction]:
         if is_cartan(g):
-            # Cartan elements act diagonally: m*v has weight lam + wt(m).
-            val = (self._lam + Weight.from_root(monomial_weight(m))).pair(_cartan_coords(g))
+            # Cartan elements act diagonally: m*v has weight lam + wt(m), whose
+            # fields are named after the kinds h, c1, c2, d1, d2 of the basis.
+            val = getattr(self._lam + Weight.from_root(monomial_weight(m)), g.kind)
             return {m: val} if val else {}
         positive = is_positive(weight_of(g))
         if not m:
@@ -263,7 +264,8 @@ class VermaModule:
             if kg > kl:
                 return {((g, 1),) + m: Fraction(1)}
             if kg == kl:
-                assert g == lead, "sort key must be a strict total order"
+                if g != lead:
+                    raise ValueError(f"sort key is not strict: {g!r} and {lead!r} share a key")
                 return {((lead, a + 1),) + m[1:]: Fraction(1)}
         # g must move right: g * lead^a * rest = lead * (g * tail) + [g, lead] * tail
         tail = ((lead, a - 1),) + m[1:] if a > 1 else m[1:]
@@ -272,7 +274,9 @@ class VermaModule:
         for m2, c2 in self._act_basis(g, tail).items():
             # termination: the degree-preserving part of g*tail is the
             # sorted multiset of its letters, so lead re-attaches directly.
-            assert monomial_degree(m2) < deg or self.key(lead) >= self.key(m2[0][0])
+            if monomial_degree(m2) >= deg and self.key(lead) < self.key(m2[0][0]):
+                raise AssertionError(f"straightening: {lead!r} does not re-attach "
+                                     f"to {format_monomial(m2)}")
             add_scaled(out, self._act_basis(lead, m2), c2)
         for b, cb in bracket(g, lead).items():
             add_scaled(out, self._act_basis(b, tail), cb)
@@ -378,15 +382,6 @@ class VermaModule:
         rec(0, eta, [])
         out.sort(key=lambda m: tuple((self.key(b), a) for b, a in m))
         return out
-
-
-def _cartan_coords(g: BasisElement):
-    from .roots import CartanElement
-    if g.kind == "h":
-        return CartanElement.make(1, 0, 0, 0, 0)
-    idx = {"c1": (0, 1, 0, 0, 0), "c2": (0, 0, 1, 0, 0),
-           "d1": (0, 0, 0, 1, 0), "d2": (0, 0, 0, 0, 1)}[g.kind]
-    return CartanElement.make(*idx)
 
 
 _ENGINES: dict[tuple, VermaModule] = {}

@@ -1,5 +1,6 @@
 """Command line reports: shapes, schema validity, stability, exit codes."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -262,6 +263,13 @@ BROKEN_CHECKS = {
                          ("quotient-char", "--weight", W11, "--depth", "2"), "negative"),
     "drop-coords": ("singular.dot_action = lambda word, lam: lam - roots.Weight(0, 0, 0, Fraction(1, 2), 0)",
                     ("singular", "--weight", W11, "--depth", "2"), "integral"),
+    "demo-pairing": ("quotient.module_for = lambda hw: verma.module_for(\n"
+                     "    verma.HighestWeight(hw.n1, hw.k1 + 1, hw.d1, hw.d2))",
+                     ("demos", "--weight", W11), "pairing"),
+    "scan-period": ("reducibility.lcm = lambda *a: 1",
+                    ("reducible", "--weight", WGEN), "integrality period"),
+    "empty-target": ("singular._RAISING_DROP[singular.e(0, 0)] = (0, 2)",
+                     ("singular", "--weight", W11, "--eta", "0,1"), "target weight space is empty"),
 }
 
 
@@ -269,13 +277,26 @@ BROKEN_CHECKS = {
 def test_internal_checks_exit_one_under_optimize(case):
     patch, argv, message = BROKEN_CHECKS[case]
     script = ("import sys\nfrom fractions import Fraction\n"
-              "from toroidal_sl2 import cli, quotient, roots, singular\n"
+              "from toroidal_sl2 import cli, quotient, reducibility, roots, singular, verma\n"
               f"{patch}\nsys.exit(cli.run(sys.argv[1:]))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", script, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert "internal check failed" in proc.stderr and message in proc.stderr
+
+
+def test_package_has_no_bare_asserts():
+    # ``python -O`` strips assert statements, so every check in the package
+    # must raise explicitly
+    package = resources.files("toroidal_sl2")
+    found = []
+    for path in sorted(package.iterdir(), key=lambda p: p.name):
+        if path.name.endswith(".py"):
+            tree = ast.parse(path.read_text(), filename=path.name)
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_parallel_scan_matches_sequential():

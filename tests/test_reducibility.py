@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 from toroidal_sl2 import (ALPHA, HighestWeight, RHO, RootVector, Weight,
-                          coroot, dot_action, find_singular, is_reducible,
-                          kk_pairs, maximal_submodule_generators, q1_coords,
-                          scan_weights, sufficient_kmax)
+                          coroot, dot_action, find_singular, is_positive,
+                          is_reducible, kk_pairs, maximal_submodule_generators,
+                          q1_coords, scan_weights, sufficient_kmax)
 
 
 def hw_of(n1, k1):
@@ -33,6 +33,31 @@ def test_resonance_invariant():
         for p in kk_pairs(hw, 6):
             assert lam_rho.pair(coroot(p.beta)) == p.l
             assert p.quotient_weight == hw.weight() - p.l * Weight.from_root(p.beta)
+
+
+def test_kk_pairs_match_general_pairing_route(rng):
+    # the closed-form progressions against (lam + rho)(beta_check) over every
+    # positive real root a*alpha + k*delta1 with |k| <= kmax
+    hits = 0
+    for _ in range(300):
+        n1, k1, d1, d2 = (Fraction(rng.randint(lo, 8), rng.randint(1, 4))
+                          for lo in (-8, 0, -8, -8))
+        hw = HighestWeight(n1, k1, d1, d2)
+        kmax = rng.randint(0, 10)
+        lam = hw.weight()
+        expected = set()
+        for a in (1, -1):
+            for k in range(-kmax, kmax + 1):
+                beta = RootVector(a, k, 0)
+                l = (lam + RHO).pair(coroot(beta))
+                if is_positive(beta) and l.denominator == 1 and l >= 1:
+                    expected.add((beta, int(l), lam - l * Weight.from_root(beta)))
+        got = kk_pairs(hw, kmax)
+        assert all(type(p.l) is int for p in got)
+        assert len(got) == len(expected)
+        assert {(p.beta, p.l, p.quotient_weight) for p in got} == expected
+        hits += len(got)
+    assert hits > 100
 
 
 def test_dominant_integral_always_reducible():

@@ -13,8 +13,7 @@ from fractions import Fraction
 from toroidal_sl2 import (HighestWeight, ModuleVector, bracket, e, f, h,
                           is_positive, module_for, weight_of)
 from toroidal_sl2.algebra import basis_sort_key, is_cartan
-from toroidal_sl2.roots import Weight
-from toroidal_sl2.verma import _cartan_coords
+from toroidal_sl2.roots import CartanElement, Weight
 
 from conftest import SEED, random_basis_element
 
@@ -32,7 +31,7 @@ def _evaluate_terminal(word, coeff, lam):
     while letters:
         g = letters[-1]
         if is_cartan(g):
-            coeff *= lam.pair(_cartan_coords(g))
+            coeff *= lam.pair(CartanElement.make(**{g.kind: 1}))
             letters.pop()
             if not coeff:
                 return {}

@@ -8,13 +8,15 @@ from toroidal_sl2 import (HighestWeight, ModuleVector, bracket, dim_oracle,
                           e, f, format_monomial, h, module_for,
                           parse_monomial_text, root_from_q1, weight_of,
                           weight_space_basis)
-from toroidal_sl2.algebra import C1, D1, D2
+from toroidal_sl2.algebra import C1, C2, D1, D2
+from toroidal_sl2.roots import CartanElement, Weight
 from toroidal_sl2.verma import VermaModule, is_canonical, monomial_weight
 
 from conftest import random_basis_element, random_canonical_monomial
 
 
 V = ModuleVector.highest_weight_vector()
+CARTAN = (h(0, 0), C1, C2, D1, D2)
 
 
 def mono(*factors):
@@ -62,6 +64,26 @@ class TestAct:
         assert eng.act(C1, vec) == 3 * vec
         assert eng.act(D1, vec) == 0 * vec  # d1-eigenvalue 1 + (-1)
         assert eng.act(D2, vec) == 0 * vec
+
+    def test_cartan_value_is_the_weight_field_of_its_kind(self, rng):
+        # the engine reads the eigenvalue of g off the field named g.kind;
+        # pairing with the Cartan element of that kind is the general route
+        for _ in range(100):
+            w = Weight(*(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(5)))
+            for g in CARTAN:
+                assert getattr(w, g.kind) == w.pair(CartanElement.make(**{g.kind: 1}))
+
+    def test_cartan_action_matches_pairing(self, rng):
+        for _ in range(40):
+            n1, k1, d1, d2 = (Fraction(rng.randint(lo, 6), rng.randint(1, 5))
+                              for lo in (-6, 0, -6, -6))
+            hw = HighestWeight(n1, k1, d1, d2)
+            eng = VermaModule(hw)
+            m = random_canonical_monomial(rng)
+            mu = hw.weight() + Weight.from_root(monomial_weight(m))
+            for g in CARTAN:
+                expected = mu.pair(CartanElement.make(**{g.kind: 1})) * ModuleVector.monomial(m)
+                assert eng.act(g, ModuleVector.monomial(m)) == expected
 
     @pytest.mark.parametrize("n1", [0, 1, 2])
     @pytest.mark.parametrize("N", [1, 2, 3, 4])

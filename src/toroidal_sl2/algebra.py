@@ -10,8 +10,10 @@ with sl2 constants [h,e] = 2e, [h,f] = -2f, [e,f] = h and form
 (e|f) = 1, (h|h) = 2.  The central term fires only when the degrees cancel
 exactly.  c1, c2 commute with everything; [d_i, x(m,n)] = (m,n)_i x(m,n).
 
-All coefficients are exact rationals.  Every value here is immutable and
-every operation is a pure function.
+All coefficients are exact rationals.  The structure constants are
+``int``s and stay so; a ``Fraction`` enters only with a ``Fraction`` or
+string input, and prints as the equal ``int`` would.  Every value here is
+immutable and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ def add_scaled(out: dict, terms: Mapping, scale: Rational) -> None:
             out.pop(key, None)
 
 
+def _coeff(c: Rational) -> Rational:
+    """A coefficient as stored: ints stay ints, the rest goes through ``frac``."""
+    return c if type(c) is int else frac(c)
+
+
 class LinearCombination:
     """Finite rational linear combination of hashable keys.
 
@@ -128,7 +135,7 @@ class LinearCombination:
     def __init__(self, terms: Optional[Mapping] = None):
         self.terms: dict = {}
         for key, c in (terms or {}).items():
-            c = frac(c)
+            c = _coeff(c)
             if c:
                 self.terms[key] = c
 
@@ -161,7 +168,7 @@ class LinearCombination:
 
     def __rmul__(self, k: Rational):
         out: dict = {}
-        add_scaled(out, self.terms, frac(k))
+        add_scaled(out, self.terms, _coeff(k))
         return self._wrap(out)
 
     def __neg__(self):

@@ -53,13 +53,11 @@ def _require_dominant(hw: HighestWeight) -> tuple[int, int]:
     return int(hw.n1), int(hw.n0)
 
 
-def _generator_vectors(hw: HighestWeight) -> list[tuple[tuple[int, int], ModuleVector]]:
-    """The two singular generators with their weight drops (a0, a1)."""
+def _generator_words(hw: HighestWeight) -> list[tuple[tuple[int, int], PBWMonomial]]:
+    """The words of the two singular generators with their weight drops (a0, a1)."""
     n1, n0 = _require_dominant(hw)
-    return [
-        ((0, n1 + 1), ModuleVector.monomial(((f(0, 0), n1 + 1),))),
-        ((n0 + 1, 0), ModuleVector.monomial(((e(-1, 0), n0 + 1),))),
-    ]
+    return [((0, n1 + 1), ((f(0, 0), n1 + 1),)),
+            ((n0 + 1, 0), ((e(-1, 0), n0 + 1),))]
 
 
 def _coords_in_basis(vec: ModuleVector, index: dict[PBWMonomial, int]) -> list[Fraction]:
@@ -70,17 +68,21 @@ def _coords_in_basis(vec: ModuleVector, index: dict[PBWMonomial, int]) -> list[F
 
 
 def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[Fraction]], list[PBWMonomial]]:
-    """Spanning rows of the submodule inside the lam - eta weight space."""
+    """Spanning rows of the submodule inside the lam - eta weight space.
+
+    A row is the memoized word u*s applied to v; a scan by height has built
+    u*s with the leading exponent of u lowered by one, so a row is one action.
+    """
     engine = module_for(hw)
     basis = engine.weight_space_basis(eta)
     index = {m: i for i, m in enumerate(basis)}
     rows: list[list[Fraction]] = []
-    for (g0, g1), gen_vec in _generator_vectors(hw):
+    for (g0, g1), gen_word in _generator_words(hw):
         r0, r1 = eta[0] - g0, eta[1] - g1
         if r0 < 0 or r1 < 0:
             continue
         for u in engine.weight_space_basis((r0, r1)):
-            image = engine.apply_word(u, gen_vec)
+            image = engine.apply_word(u + gen_word)
             if not image.is_zero():
                 rows.append(_coords_in_basis(image, index))
     return rows, basis

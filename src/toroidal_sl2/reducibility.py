@@ -25,12 +25,20 @@ Hence scanning k = 0 .. kmax with
 
 covers a full integrality period past the positivity threshold for both
 families, and finding nothing there proves there is nothing at all.
+
+The scan visits only the integral terms.  With s = p/q and
+c = a*(n1 + 1) = u/w in lowest terms, c + k*s is an integer exactly when
+w divides q and k*p = -u*(q/w) mod q, a single residue class of k mod q
+(p is invertible mod q); when w does not divide q no term is integral.
+So the work grows with the number of witnesses, not with kmax.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import ceil, lcm
+from typing import Optional
 
 from .roots import RootVector, Weight
 from .verma import HighestWeight
@@ -66,22 +74,36 @@ class ReducibilityReport:
         }
 
 
+def _integral_residue(c: Fraction, s: Fraction) -> Optional[int]:
+    """The r in [0, den(s)) with c + k*s integral iff k = r mod den(s), or None."""
+    q, w = s.denominator, c.denominator
+    if q % w:
+        return None
+    return -c.numerator * (q // w) * pow(s.numerator, -1, q) % q
+
+
 def kk_pairs(hw: HighestWeight, kmax: int) -> list[ResonancePair]:
     """All resonance pairs with |delta1-degree of beta| <= kmax.
 
     Evaluates l = a*(n1 + 1) + k*(k1 + 2) for beta = alpha + k*delta1
     (a = 1, 0 <= k <= kmax) and beta = -alpha + k*delta1 (a = -1,
     1 <= k <= kmax); imaginary roots cannot resonate away from the critical
-    level, see the module docstring.
+    level, see the module docstring.  Only the k whose term is integral
+    are visited.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     lam = hw.weight()
+    s = hw.k1 + 2
     out: list[ResonancePair] = []
-    for k in range(kmax + 1):
-        for a in (1, -1) if k else (1,):
-            l = a * (hw.n1 + 1) + k * (hw.k1 + 2)
-            if l.denominator == 1 and l >= 1:
+    for a, kmin in ((1, 0), (-1, 1)):
+        c = a * (hw.n1 + 1)
+        r = _integral_residue(c, s)
+        if r is None:
+            continue
+        for k in range(kmin + (r - kmin) % s.denominator, kmax + 1, s.denominator):
+            l = c + k * s
+            if l >= 1:
                 beta = RootVector(a, k, 0)
                 out.append(ResonancePair(beta, int(l), lam - l * Weight.from_root(beta)))
     # order by height of l*beta in simple-root coordinates, then by family

@@ -23,6 +23,14 @@ which ``dim_oracle`` computes by an independent dynamic program (it never
 touches the PBW engine).  Weight spaces at delta2-level < 0 are infinite
 dimensional; ``weight_space_basis_truncated`` enumerates a finite window
 of them and is labeled as a truncation.
+
+Exact arithmetic, once.  Coefficients are ``int`` while integral and
+``Fraction`` only where a non-integral weight field enters; both print and
+compare alike, so reports do not depend on which one a value is.  Each
+engine memoizes three things: single-generator actions on monomials, words
+applied to v (a word is its leading letter applied to the memoized word one
+letter shorter, so words sharing a tail are straightened once), and level-0
+weight-space bases.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ PBWMonomial = tuple[tuple[BasisElement, int], ...]
 SortKey = Callable[[BasisElement], tuple]
 
 VACUUM: PBWMonomial = ()
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,7 +233,8 @@ def dim_oracle(eta: Union[RootVector, tuple[int, int]]) -> int:
 class VermaModule:
     """The module engine for one highest weight (and one basis order).
 
-    All methods are pure; results of single-generator actions are memoized
+    All methods are pure.  Single-generator actions (``_cache``), words
+    applied to v (``_words``) and level-0 bases (``_bases``) are memoized
     per instance, so reusing one engine across a scan is much faster than
     constructing fresh ones.
     """
@@ -235,11 +243,13 @@ class VermaModule:
         self.hw = hw
         self.key = sort_key
         self._lam = hw.weight()
-        self._cache: dict[tuple[BasisElement, PBWMonomial], dict[PBWMonomial, Fraction]] = {}
+        self._cache: dict[tuple[BasisElement, PBWMonomial], dict[PBWMonomial, Rational]] = {}
+        self._words: dict[tuple[tuple[BasisElement, int], ...], ModuleVector] = {}
+        self._bases: dict[tuple[int, int], list[PBWMonomial]] = {}
 
     # -- single generator action ------------------------------------------
 
-    def _act_basis(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Fraction]:
+    def _act_basis(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Rational]:
         hit = self._cache.get((g, m))
         if hit is not None:
             return hit
@@ -247,30 +257,32 @@ class VermaModule:
         self._cache[(g, m)] = res
         return res
 
-    def _act_basis_uncached(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Fraction]:
+    def _act_basis_uncached(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Rational]:
         if is_cartan(g):
             # Cartan elements act diagonally: m*v has weight lam + wt(m), whose
             # fields are named after the kinds h, c1, c2, d1, d2 of the basis.
             val = getattr(self._lam + Weight.from_root(monomial_weight(m)), g.kind)
-            return {m: val} if val else {}
+            if not val:
+                return {}
+            return {m: val.numerator if val.denominator == 1 else val}
         positive = is_positive(weight_of(g))
         if not m:
             if positive:
                 return {}
-            return {((g, 1),): Fraction(1)}
+            return {((g, 1),): 1}
         (lead, a) = m[0]
         if not positive:
             kg, kl = self.key(g), self.key(lead)
             if kg > kl:
-                return {((g, 1),) + m: Fraction(1)}
+                return {((g, 1),) + m: 1}
             if kg == kl:
                 if g != lead:
                     raise ValueError(f"sort key is not strict: {g!r} and {lead!r} share a key")
-                return {((lead, a + 1),) + m[1:]: Fraction(1)}
+                return {((lead, a + 1),) + m[1:]: 1}
         # g must move right: g * lead^a * rest = lead * (g * tail) + [g, lead] * tail
         tail = ((lead, a - 1),) + m[1:] if a > 1 else m[1:]
         deg = monomial_degree(m)
-        out: dict[PBWMonomial, Fraction] = {}
+        out: dict[PBWMonomial, Rational] = {}
         for m2, c2 in self._act_basis(g, tail).items():
             # termination: the degree-preserving part of g*tail is the
             # sorted multiset of its letters, so lead re-attaches directly.
@@ -280,26 +292,44 @@ class VermaModule:
             add_scaled(out, self._act_basis(lead, m2), c2)
         for b, cb in bracket(g, lead).items():
             add_scaled(out, self._act_basis(b, tail), cb)
+        # non-integral Cartan values can sum or multiply to an integer
+        for m2, c in out.items():
+            if type(c) is Fraction and c.denominator == 1:
+                out[m2] = c.numerator
         return out
 
     # -- public action ------------------------------------------------------
 
     def act(self, x: Union[AlgebraElement, BasisElement], v: ModuleVector) -> ModuleVector:
         """Action of an algebra element, straightened to canonical form."""
-        out: dict[PBWMonomial, Fraction] = {}
-        for b, cb in ((x, _ONE),) if isinstance(x, BasisElement) else x.items():
+        out: dict[PBWMonomial, Rational] = {}
+        for b, cb in ((x, 1),) if isinstance(x, BasisElement) else x.items():
             for m, cm in v.items():
                 add_scaled(out, self._act_basis(b, m), cb * cm)
         return ModuleVector._wrap(out)
 
     def apply_word(self, word: Sequence[tuple[BasisElement, int]],
                    v: Optional[ModuleVector] = None) -> ModuleVector:
-        """Apply a product of powers of generators, rightmost letter first."""
-        out = v if v is not None else ModuleVector.highest_weight_vector()
-        for b, exp in reversed(list(word)):
-            for _ in range(exp):
-                out = self.act(b, out)
-        return out
+        """Apply a product of powers of generators, rightmost letter first.
+
+        Without ``v`` the word acts on v and the result is memoized per word.
+        """
+        if v is not None:
+            for b, exp in reversed(list(word)):
+                for _ in range(exp):
+                    v = self.act(b, v)
+            return v
+        word = tuple(word)
+        hit = self._words.get(word)
+        if hit is None:
+            if not word:
+                hit = ModuleVector.highest_weight_vector()
+            else:
+                (lead, a) = word[0]
+                rest = ((lead, a - 1),) + word[1:] if a > 1 else word[1:]
+                hit = self.act(lead, self.apply_word(rest)) if a > 0 else self.apply_word(rest)
+            self._words[word] = hit
+        return hit
 
     # -- weight spaces ------------------------------------------------------
 
@@ -309,11 +339,18 @@ class VermaModule:
         Only factors from the horizontal affine negative half can occur:
         all negative roots have delta2-degree <= 0, so a factor below level
         0 could never be compensated.  The enumeration therefore restricts
-        to f(-k,0), e(-k,0), h(-k,0).
+        to f(-k,0), e(-k,0), h(-k,0).  The list is memoized per engine and
+        shared by every caller, who must not change it.
         """
         a0, a1 = eta if isinstance(eta, tuple) else q1_coords(eta)
         if a0 < 0 or a1 < 0:
             raise ValueError(f"eta outside the nonnegative simple-root cone: {(a0, a1)}")
+        out = self._bases.get((a0, a1))
+        if out is None:
+            out = self._bases[(a0, a1)] = self._enumerate_basis(a0, a1)
+        return out
+
+    def _enumerate_basis(self, a0: int, a1: int) -> list[PBWMonomial]:
         gens = _affine_negative_generators(a0, a1)
         gens.sort(key=lambda g: self.key(g[0]), reverse=True)
         out: list[PBWMonomial] = []

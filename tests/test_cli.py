@@ -21,6 +21,9 @@ WGEN = '{"h":"1/2","c1":"1/3","c2":"0","d1":"0","d2":"0"}'
 # not dominant; its singular weights (2,1) and (0,4) come out of a scan in
 # the opposite of their report order
 W31 = '{"h":"3","c1":"1/2","c2":"0","d1":"0","d2":"0"}'
+W23 = '{"h":"2","c1":"3","c2":"0","d1":"0","d2":"0"}'
+# its resonance scan bound is 1,022,119, with no integral term below it
+WSLOW = '{"h":"1/1009","c1":"1/1013","c2":"0","d1":"0","d2":"0"}'
 
 
 def invoke(*argv):
@@ -168,6 +171,10 @@ GOLDEN_STDOUT = [
      "3b8e0f61b9ade042a75a3d65f5be0830f34e015bbe22b3a80151d471d5b4d4ba"),
     (("demos", "--weight", W11),
      "93af1fcad1b17e52150d58d0862b60008ba27a817a88ad73377225a2b16ea8d3"),
+    (("quotient-char", "--weight", W23, "--depth", "14", "--jobs", "1"),
+     "78bfb23dae400a8e57c21509b8b7b3b17fd7f2b070670f928479a08eef2e688e"),
+    (("reducible", "--weight", WSLOW),
+     "40c4343b2111ba3f7e8fde37d1704fb241360acdf94f5aad304b15153d7afaa9"),
 ]
 
 

@@ -8,6 +8,12 @@ from toroidal_sl2 import (HighestWeight, ModuleVector, demo_infinite_dim,
                           demo_nonintegrability, e, f, h, lchar_oracle,
                           module_for, quotient_singular_dim, submodule_dim_at,
                           w_multiplicity)
+from toroidal_sl2.quotient import _generator_words, _submodule_rows
+from toroidal_sl2.verma import VermaModule
+
+
+def etas_up_to(depth):
+    return [(a0, total - a0) for total in range(depth + 1) for a0 in range(total + 1)]
 
 
 class TestSubmoduleDim:
@@ -80,6 +86,45 @@ def test_character_match_depth_eight():
         for a0 in range(total + 1):
             eta = (a0, total - a0)
             assert w_multiplicity(hw, eta).quotient_dim == lchar_oracle(hw, eta)
+
+
+@pytest.mark.parametrize("n1,k1", [(1, 2), (2, 3)])
+def test_character_match_depth_twelve(n1, k1):
+    hw = HighestWeight(n1, k1)
+    for eta in etas_up_to(12):
+        assert w_multiplicity(hw, eta).quotient_dim == lchar_oracle(hw, eta)
+
+
+def test_submodule_rows_match_words_applied_to_generators():
+    # each row is the memoized word u*s; the reference applies u to the
+    # generator vector s step by step on an engine with no word memo
+    hw = HighestWeight(1, 2)
+    reference = VermaModule(hw)
+    for eta in etas_up_to(10):
+        rows, basis = _submodule_rows(hw, eta)
+        index = {m: i for i, m in enumerate(basis)}
+        expected = []
+        for (g0, g1), word in _generator_words(hw):
+            if eta[0] < g0 or eta[1] < g1:
+                continue
+            for u in reference.weight_space_basis((eta[0] - g0, eta[1] - g1)):
+                image = reference.apply_word(u, ModuleVector.monomial(word))
+                if not image.is_zero():
+                    row = [0] * len(basis)
+                    for m, c in image.items():
+                        row[index[m]] = c
+                    expected.append(row)
+        assert rows == expected
+    assert not reference._words
+
+
+def test_integral_weight_straightens_over_the_integers():
+    hw = HighestWeight(1, 2)
+    for eta in etas_up_to(8):
+        w_multiplicity(hw, eta)
+    cache = module_for(hw)._cache
+    assert cache
+    assert all(type(c) is int for terms in cache.values() for c in terms.values())
 
 
 def test_level_zero_quotient_is_trivial_module():

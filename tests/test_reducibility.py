@@ -1,6 +1,7 @@
 """Resonance pairs, the exact decision bound, and cross-checks with kernels."""
 
 from fractions import Fraction
+import time
 
 from toroidal_sl2 import (ALPHA, HighestWeight, RHO, RootVector, Weight,
                           coroot, dot_action, find_singular, is_positive,
@@ -58,6 +59,37 @@ def test_kk_pairs_match_general_pairing_route(rng):
         assert {(p.beta, p.l, p.quotient_weight) for p in got} == expected
         hits += len(got)
     assert hits > 100
+
+
+def walk_kk_pairs(hw, kmax):
+    # every k up to kmax, as the scan did before it solved for integral terms
+    lam = hw.weight()
+    out = []
+    for k in range(kmax + 1):
+        for a in (1, -1) if k else (1,):
+            l = a * (hw.n1 + 1) + k * (hw.k1 + 2)
+            if l.denominator == 1 and l >= 1:
+                beta = RootVector(a, k, 0)
+                out.append((beta, int(l), lam - l * Weight.from_root(beta)))
+    out.sort(key=lambda p: (p[1] * (2 * p[0].n1 + p[0].a), p[0].n1, -p[0].a))
+    return out
+
+
+def test_kk_pairs_match_walk_over_every_k(rng):
+    for _ in range(600):
+        hw = HighestWeight(Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+                           Fraction(rng.randint(0, 30), rng.randint(1, 12)))
+        kmax = rng.randint(0, 40)
+        got = [(p.beta, p.l, p.quotient_weight) for p in kk_pairs(hw, kmax)]
+        assert got == walk_kk_pairs(hw, kmax)
+
+
+def test_large_denominators_decide_without_walking_the_bound():
+    hw = HighestWeight(Fraction(1, 1009), Fraction(1, 1013))
+    start = time.perf_counter()
+    report = is_reducible(hw)
+    assert time.perf_counter() - start < 1.0
+    assert (report.verdict, report.witnesses, report.scan_bound) == (False, (), 1022119)
 
 
 def test_dominant_integral_always_reducible():

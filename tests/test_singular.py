@@ -136,3 +136,13 @@ def test_kernels_unaffected_by_d_values():
             c1 = find_singular(plain, eta)
             c2 = find_singular(shifted, eta)
             assert c1.kernel == c2.kernel
+
+
+def test_half_integral_weight_caches_no_integral_fractions():
+    # half-integral Cartan values sum and multiply to integers along the way;
+    # those are stored as int, the rest stay Fraction
+    hw = HighestWeight(Fraction(1, 2), 3)
+    scan_weights(hw, 8)
+    coeffs = [c for terms in module_for(hw)._cache.values() for c in terms.values()]
+    assert any(type(c) is Fraction for c in coeffs)
+    assert not any(type(c) is Fraction and c.denominator == 1 for c in coeffs)

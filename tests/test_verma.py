@@ -12,7 +12,8 @@ from toroidal_sl2.algebra import C1, C2, D1, D2
 from toroidal_sl2.roots import CartanElement, Weight
 from toroidal_sl2.verma import VermaModule, is_canonical, monomial_weight
 
-from conftest import random_basis_element, random_canonical_monomial
+from conftest import (random_basis_element, random_canonical_monomial,
+                      random_negative_element)
 
 
 V = ModuleVector.highest_weight_vector()
@@ -224,6 +225,39 @@ class TestSecondOrder:
         c_other = vacuum_coeff(VermaModule(hw, alt_key))
         assert c_default == c_other
         assert c_default != 0
+
+
+class TestEngineMemos:
+    @pytest.mark.parametrize("hw", [HighestWeight(1, 2),
+                                    HighestWeight(Fraction(1, 2), Fraction(3, 4))])
+    def test_memoized_word_matches_step_by_step_actions(self, rng, hw):
+        memo, plain = VermaModule(hw), VermaModule(hw)
+        for _ in range(60):
+            word = []
+            for _ in range(rng.randint(0, 4)):
+                if word and rng.random() < 0.3:
+                    b = word[-1][0]  # a repeated adjacent letter
+                elif rng.random() < 0.7:
+                    b = random_negative_element(rng, mbound=2, nmin=-1)
+                else:
+                    b = random_basis_element(rng, mbound=2, nbound=1)
+                word.append((b, rng.randint(0, 2)))  # a zero power acts as 1
+            expected = V
+            for b, exp in reversed(word):
+                for _ in range(exp):
+                    expected = plain.act(b, expected)
+            assert memo.apply_word(word) == expected
+            assert memo.apply_word(tuple(word)) is memo.apply_word(word)
+        assert not plain._words
+
+    def test_memoized_basis_matches_fresh_enumeration(self):
+        hw = HighestWeight(1, 2)
+        eng = VermaModule(hw)
+        for a0 in range(7):
+            for a1 in range(7):
+                first = eng.weight_space_basis((a0, a1))
+                assert eng.weight_space_basis(root_from_q1(a0, a1)) is first
+                assert first == VermaModule(hw).weight_space_basis((a0, a1))
 
 
 class TestTruncatedEnumeration:

@@ -61,7 +61,7 @@ def _generator_words(hw: HighestWeight) -> list[tuple[tuple[int, int], PBWMonomi
 
 
 def _coords_in_basis(vec: ModuleVector, index: dict[PBWMonomial, int]) -> list[Fraction]:
-    row = [Fraction(0)] * len(index)
+    row = [0] * len(index)
     for m, c in vec.items():
         row[index[m]] = c
     return row
@@ -128,39 +128,33 @@ def lchar_oracle(hw: HighestWeight, eta: tuple[int, int] | RootVector) -> int:
 def quotient_singular_dim(hw: HighestWeight, eta: tuple[int, int]) -> int:
     """Dimension of the space of singular vectors of the quotient at lam - eta.
 
-    A class [x] is singular iff each raising image of x lies in the
-    submodule slice of its target space.  With independent submodule rows
-    S at the three relevant weights, solutions (x, y_e, y_f) of
-    A_g x = S_g^T y_g project bijectively onto {x}, and the submodule
-    slice at eta itself sits inside the solutions, so the dimension is
-    nullity minus the slice dimension.
+    A class [x] is singular iff each raising image A_g x lies in the
+    submodule slice S_g of its target space, so the x form the preimage of
+    S_e + S_f under x -> (A_e x, A_f x).  With A the stacked raising
+    matrices and the spanning rows of S_e and S_f as extra columns, that
+    preimage has dimension n + rank S_e + rank S_f - rank [A | S_e^T | S_f^T].
+    It contains the slice at eta itself, which is subtracted.
     """
     engine = module_for(hw)
     basis = engine.weight_space_basis(eta)
-    n = len(basis)
-    s_rows_eta = linalg.row_space_basis(_submodule_rows(hw, eta)[0])
-    blocks: list[list[Fraction]] = []
-    aux_cols: list[int] = []
-    per_target: list[tuple[list[list[Fraction]], list[list[Fraction]]]] = []
+    blocks: list[tuple[list[list[Fraction]], list[list[Fraction]]]] = []
     for g in RAISING:
-        a_g = _raising_matrix(engine, g, basis, eta)
         d0, d1 = _RAISING_DROP[g]
         t = (eta[0] - d0, eta[1] - d1)
-        s_g = (linalg.row_space_basis(_submodule_rows(hw, t)[0])
-               if t[0] >= 0 and t[1] >= 0 else [])
-        per_target.append((a_g, s_g))
-        aux_cols.append(len(s_g))
-    total_aux = sum(aux_cols)
-    offset = 0
-    for (a_g, s_g), width in zip(per_target, aux_cols):
+        s_g = _submodule_rows(hw, t)[0] if t[0] >= 0 and t[1] >= 0 else []
+        blocks.append((_raising_matrix(engine, g, basis, eta), s_g))
+    width = sum(len(s_g) for _, s_g in blocks)
+    matrix: list[list[Fraction]] = []
+    offset = len(basis)
+    for a_g, s_g in blocks:
         for i, row in enumerate(a_g):
-            full = list(row) + [Fraction(0)] * total_aux
+            full = row + [0] * width
             for j, s_row in enumerate(s_g):
-                full[n + offset + j] = -s_row[i]
-            blocks.append(full)
-        offset += width
-    nullity = len(linalg.nullspace(blocks, n + total_aux))
-    dim = nullity - len(s_rows_eta)
+                full[offset + j] = s_row[i]
+            matrix.append(full)
+        offset += len(s_g)
+    dim = (len(basis) + sum(linalg.rank(s_g) for _, s_g in blocks)
+           - linalg.rank(matrix) - submodule_dim_at(hw, eta))
     if dim < 0:
         raise AssertionError(f"quotient singular space at eta {eta} has dimension {dim} < 0")
     return dim

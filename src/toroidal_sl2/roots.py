@@ -77,7 +77,6 @@ DELTA1 = RootVector(0, 1, 0)
 DELTA2 = RootVector(0, 0, 1)
 ALPHA1 = ALPHA
 ALPHA0 = DELTA1 - ALPHA
-ALPHA_MINUS1 = DELTA2 - ALPHA
 
 
 def classify(r: RootVector) -> str:

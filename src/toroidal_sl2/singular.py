@@ -16,8 +16,9 @@ Two reductions make the search finite and complete:
   avoiding level 0, which is impossible.  The level-0 scan is therefore a
   complete enumeration of singular weights, not a restriction.
 
-Kernels are computed by exact fraction-free elimination on the matrices of
-the two raising actions restricted to one weight space.
+Kernels are computed by exact sparse integer elimination on the matrices
+of the two raising actions restricted to one weight space, so every kernel
+vector has primitive integer coefficients.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _raising_matrix(engine: VermaModule, g: BasisElement,
         return []
     target = engine.weight_space_basis((t0, t1))
     index = {m: i for i, m in enumerate(target)}
-    rows = [[Fraction(0)] * len(basis) for _ in target]
+    rows = [[0] * len(basis) for _ in target]
     for j, m in enumerate(basis):
         image = engine.act(g, ModuleVector.monomial(m))
         for m2, c in image.items():
@@ -106,11 +107,8 @@ def find_singular(hw: HighestWeight, eta: Union[RootVector, tuple[int, int]],
     stacked: list[list[Fraction]] = []
     for g in RAISING:
         stacked.extend(_raising_matrix(engine, g, basis, coords))
-    kernel_coords = linalg.nullspace(stacked, len(basis))
-    kernel = []
-    for x in kernel_coords:
-        vec = ModuleVector({m: c for m, c in zip(basis, x) if c})
-        kernel.append(vec)
+    kernel = [ModuleVector({basis[j]: c for j, c in x.items()})
+              for x in linalg.nullspace(stacked, len(basis))]
     checks = []
     for i, vec in enumerate(kernel):
         for g in RAISING:
@@ -143,16 +141,19 @@ def dot_orbit_drops(hw: HighestWeight, height: int) -> list[tuple[int, tuple[int
         raise ValueError("dot-orbit comparison requires a dominant integral weight")
     lam = hw.weight()
     out: list[tuple[int, tuple[int, int]]] = []
-    for first in ("r0", "r1"):
-        word: list[str] = []
+    for letter in ("r0", "r1"):
+        mu, length = lam, 0
         while True:
-            word.insert(0, "r1" if (len(word) % 2 == 0) == (first == "r1") else "r0")
-            coords = _drop_coords(lam - dot_action(word, lam))
+            # one more reflection on the left of the alternating word
+            mu = dot_action([letter], mu)
+            length += 1
+            coords = _drop_coords(lam - mu)
             if coords[0] + coords[1] > height:
                 break
-            out.append((len(word), coords))
-            if len(word) > 4 * height + 4:
+            out.append((length, coords))
+            if length > 4 * height + 4:
                 raise AssertionError("dot-orbit enumeration failed to terminate")
+            letter = "r1" if letter == "r0" else "r0"
     return out
 
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from toroidal_sl2 import (HighestWeight, ModuleVector, demo_infinite_dim,
-                          demo_nonintegrability, e, f, h, lchar_oracle,
-                          module_for, quotient_singular_dim, submodule_dim_at,
-                          w_multiplicity)
+                          demo_nonintegrability, e, f, h, lchar_oracle, linalg,
+                          module_for, quotient, quotient_singular_dim,
+                          submodule_dim_at, w_multiplicity)
 from toroidal_sl2.quotient import _generator_words, _submodule_rows
+from toroidal_sl2.singular import _RAISING_DROP, RAISING, _raising_matrix
 from toroidal_sl2.verma import VermaModule
 
 
@@ -147,6 +148,53 @@ def test_quotient_has_no_singular_vectors_below_top():
 
 def test_quotient_singular_dim_counts_the_top():
     assert quotient_singular_dim(HighestWeight(1, 1), (0, 0)) == 1
+
+
+def block_nullspace_singular_dim(hw, eta):
+    """Solutions (x, y_e, y_f) of A_g x = S_g^T y_g, with independent rows
+    S_g at each target, minus the submodule slice at eta."""
+    def independent(rows):
+        chosen = []
+        for row in rows:
+            if linalg.rank(chosen + [row]) > len(chosen):
+                chosen.append(row)
+        return chosen
+
+    engine = module_for(hw)
+    basis = engine.weight_space_basis(eta)
+    n = len(basis)
+    per_target = []
+    for g in RAISING:
+        t = (eta[0] - _RAISING_DROP[g][0], eta[1] - _RAISING_DROP[g][1])
+        s_g = independent(_submodule_rows(hw, t)[0]) if min(t) >= 0 else []
+        per_target.append((_raising_matrix(engine, g, basis, eta), s_g))
+    width = sum(len(s_g) for _, s_g in per_target)
+    blocks, offset = [], n
+    for a_g, s_g in per_target:
+        for i, row in enumerate(a_g):
+            full = list(row) + [0] * width
+            for j, s_row in enumerate(s_g):
+                full[offset + j] = -s_row[i]
+            blocks.append(full)
+        offset += len(s_g)
+    return (len(linalg.nullspace(blocks, n + width))
+            - len(independent(_submodule_rows(hw, eta)[0])))
+
+
+def test_quotient_singular_dim_with_one_generator(monkeypatch):
+    # dividing by the f(0,0)^(n1+1) v submodule alone leaves e(-1,0)^(n0+1) v
+    # singular in the quotient, beside the top
+    generator_words = quotient._generator_words
+    monkeypatch.setattr(quotient, "_generator_words", lambda hw: generator_words(hw)[:1])
+    hw = HighestWeight(1, 2)
+    assert _generator_words(hw)[0][1] == ((f(0, 0), 2),)
+    found = {}
+    for eta in etas_up_to(6):
+        dim = quotient_singular_dim(hw, eta)
+        assert dim == block_nullspace_singular_dim(hw, eta)
+        if dim:
+            found[eta] = dim
+    assert found == {(0, 0): 1, (2, 0): 1}
 
 
 class TestNonintegrability:

@@ -7,6 +7,7 @@ import pytest
 from toroidal_sl2 import (HighestWeight, ModuleVector, e, f, find_singular,
                           h, module_for, orbit_report, raising_generators,
                           scan_vs_dot_orbit, scan_weights)
+from toroidal_sl2.roots import dot_action, q1_coords, weight_as_root
 from toroidal_sl2.singular import dot_orbit_drops, dot_orbit_etas
 
 from test_verma import alt_key
@@ -113,6 +114,26 @@ def test_dot_orbit_drops_walk_both_chains():
     assert dot_orbit_etas(HighestWeight(1, 1), 12) == [(0, 2), (1, 0), (1, 4), (5, 2), (8, 4)]
 
 
+def test_dot_orbit_drops_match_full_words():
+    # each chain step is one reflection on the previous weight; the
+    # reference rebuilds the alternating word and applies all of it
+    for n1 in range(4):
+        for n0 in range(4):
+            hw = HighestWeight(n1, n1 + n0)
+            lam = hw.weight()
+            for height in range(15):
+                expected = []
+                for first, other in (("r0", "r1"), ("r1", "r0")):
+                    word = [first]
+                    while True:
+                        drop = q1_coords(weight_as_root(lam - dot_action(word, lam)))
+                        if sum(drop) > height:
+                            break
+                        expected.append((len(word), drop))
+                        word.insert(0, other if word[0] == first else first)
+                assert dot_orbit_drops(hw, height) == expected
+
+
 def test_orbit_requires_dominant_integral():
     with pytest.raises(ValueError):
         dot_orbit_etas(HighestWeight(Fraction(1, 2), 1), 4)
@@ -146,3 +167,15 @@ def test_half_integral_weight_caches_no_integral_fractions():
     coeffs = [c for terms in module_for(hw)._cache.values() for c in terms.values()]
     assert any(type(c) is Fraction for c in coeffs)
     assert not any(type(c) is Fraction and c.denominator == 1 for c in coeffs)
+
+
+def test_kernel_vectors_have_integer_coefficients():
+    # kernels are primitive integer vectors, also where k1 is not integral
+    found = 0
+    for hw in (HighestWeight(1, 2), HighestWeight(2, 2), HighestWeight(3, Fraction(1, 2))):
+        for total in range(1, 9):
+            for a0 in range(total + 1):
+                for vec in find_singular(hw, (a0, total - a0)).kernel:
+                    found += 1
+                    assert all(type(c) is int for _, c in vec.items())
+    assert found >= 9

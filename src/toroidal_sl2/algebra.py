@@ -18,20 +18,21 @@ immutable and every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import re
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .roots import RootVector, Rational, frac
 
 E, F, H = "e", "f", "h"
 
 
-@dataclass(frozen=True, slots=True)
-class BasisElement:
-    """One generator: a loop element with a degree, or one of c1, c2, d1, d2."""
+class BasisElement(NamedTuple):
+    """One generator: a loop element with a degree, or one of c1, c2, d1, d2.
+
+    A tuple, so the engine memos keyed on generators hash them in C.
+    """
 
     kind: str
     degree: Optional[tuple[int, int]]
@@ -73,13 +74,15 @@ def is_cartan(b: BasisElement) -> bool:
     return b.degree is None or (b.kind == H and b.degree == (0, 0))
 
 
+ALPHA_COEFF = {E: 1, F: -1, H: 0}  # of the root of each loop kind
+
+
 def weight_of(b: BasisElement) -> RootVector:
     """Root under the adjoint Cartan action; zero for c1, c2, d1, d2."""
     if b.degree is None:
         return RootVector(0, 0, 0)
     m, n = b.degree
-    a = {E: 1, F: -1, H: 0}[b.kind]
-    return RootVector(a, m, n)
+    return RootVector(ALPHA_COEFF[b.kind], m, n)
 
 
 _KIND_RANK = {F: 0, H: 1, E: 2}

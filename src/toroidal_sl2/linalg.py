@@ -4,18 +4,19 @@ Each row is scaled to a primitive integer row and kept sparse, as a dict
 column -> value.  Every elimination step is one row update: a row with
 entry f in the pivot column becomes the primitive part of
 (p/g) row - (f/g) pivot row, p the pivot and g = gcd(p, f).  Pivots are
-chosen row first: the active row with the fewest nonzeros, in it the
-column with the fewest active rows, then the smallest entry, ties to the
-lowest index; only the rows meeting the pivot column are updated.  Kernel
-vectors come from the pivot rows by back-substitution and are returned in
-a form that does not depend on the pivot order: the reduced row echelon
-form of the kernel, reached by the same row update, each vector a sparse
-primitive integer row.
+chosen row first: the active row with the fewest nonzeros (taken from a
+heap), in it the column with the fewest active rows, then the smallest
+entry, ties to the lowest index; only the rows meeting the pivot column
+are updated.  Kernel vectors come from the pivot rows by
+back-substitution and are returned in a form that does not depend on the
+pivot order: the reduced row echelon form of the kernel, reached by the
+same row update, each vector a sparse primitive integer row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -57,9 +58,13 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     for i, row in active.items():
         for j in row:
             rows_in.setdefault(j, set()).add(i)
+    # heap of (length, row), sorted to start; entries of rows since updated or gone are skipped
+    queue = sorted((len(row), i) for i, row in active.items())
     pivots = []
     while active:
-        pi = min(active, key=lambda i: (len(active[i]), i))
+        n, pi = heappop(queue)
+        if len(active.get(pi, ())) != n:
+            continue
         prow = active.pop(pi)
         pc = min(prow, key=lambda j: (len(rows_in[j]), abs(prow[j]), j))
         for j in prow:
@@ -73,6 +78,7 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
                     rows_in[j].discard(i)
             if new:
                 active[i] = new
+                heappush(queue, (len(new), i))
             else:
                 del active[i]
         pivots.append((pc, prow))

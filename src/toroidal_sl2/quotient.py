@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .algebra import e, f, h
@@ -102,6 +103,11 @@ def w_multiplicity(hw: HighestWeight, eta: tuple[int, int] | RootVector) -> Quot
     return QuotientSpace(coords, ambient, sub, ambient - sub)
 
 
+@lru_cache(maxsize=64)  # a scan walks each Weyl chain once per height
+def _orbit_drops(hw: HighestWeight, height: int) -> tuple[tuple[int, tuple[int, int]], ...]:
+    return tuple(dot_orbit_drops(hw, height))
+
+
 def lchar_oracle(hw: HighestWeight, eta: tuple[int, int] | RootVector) -> int:
     """Multiplicity in the irreducible quotient, by the alternating sum
     of shifted-orbit Verma multiplicities.
@@ -118,7 +124,7 @@ def lchar_oracle(hw: HighestWeight, eta: tuple[int, int] | RootVector) -> int:
         return dim_oracle((a0, a1)) if a0 >= 0 and a1 >= 0 else 0
 
     total = kostant(*coords)
-    for length, (d0, d1) in dot_orbit_drops(hw, coords[0] + coords[1]):
+    for length, (d0, d1) in _orbit_drops(hw, coords[0] + coords[1]):
         total += (-1) ** length * kostant(coords[0] - d0, coords[1] - d1)
     if total < 0:
         raise AssertionError(f"character oracle is negative ({total}) at eta {coords}")

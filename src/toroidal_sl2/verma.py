@@ -27,22 +27,23 @@ of them and is labeled as a truncation.
 Exact arithmetic, once.  Coefficients are ``int`` while integral and
 ``Fraction`` only where a non-integral weight field enters; both print and
 compare alike, so reports do not depend on which one a value is.  Each
-engine memoizes three things: single-generator actions on monomials, words
-applied to v (a word is its leading letter applied to the memoized word one
-letter shorter, so words sharing a tail are straightened once), and level-0
-weight-space bases.
+engine memoizes single-generator actions on monomials and words applied to
+v (a word is its leading letter applied to the memoized word one letter
+shorter, so words sharing a tail are straightened once).  Level-0 bases do
+not depend on the weight; one bounded cache serves every engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
+from functools import lru_cache
 import re
 from typing import Callable, Optional, Sequence, Union
 
-from .algebra import (AlgebraElement, BasisElement, LinearCombination,
-                      add_scaled, basis_sort_key, bracket, e, f, format_terms,
-                      h, is_cartan, weight_of, _loop)
+from .algebra import (ALPHA_COEFF, AlgebraElement, BasisElement, H,
+                      LinearCombination, add_scaled, basis_sort_key, bracket,
+                      e, f, format_terms, h, is_cartan, weight_of, _loop)
 from .roots import (RootVector, Weight, Rational, frac, is_positive,
                     q1_coords)
 
@@ -230,49 +231,83 @@ def dim_oracle(eta: Union[RootVector, tuple[int, int]]) -> int:
     return table[a0][a1]
 
 
+# A depth-24 scan visits 325 drops (heights 0..24), and a basis depends
+# only on the order and the drop, so this holds such a scan for one order.
+@lru_cache(maxsize=325)
+def _level0_basis(sort_key: SortKey, a0: int, a1: int) -> list[PBWMonomial]:
+    """Level-0 canonical monomials of drop (a0, a1), sorted by the order."""
+    gens = _affine_negative_generators(a0, a1)
+    keys = {b: sort_key(b) for b, _ in gens}
+    gens.sort(key=lambda g: keys[g[0]], reverse=True)
+    out: list[PBWMonomial] = []
+
+    def rec(idx: int, r0: int, r1: int, acc: list[tuple[BasisElement, int]]):
+        if r0 == 0 and r1 == 0:
+            out.append(tuple(acc))
+            return
+        if idx == len(gens):
+            return
+        b, (c0, c1) = gens[idx]
+        top = min(r0 // c0 if c0 else r1, r1 // c1 if c1 else r0)
+        for exp in range(top, 0, -1):
+            acc.append((b, exp))
+            rec(idx + 1, r0 - exp * c0, r1 - exp * c1, acc)
+            acc.pop()
+        rec(idx + 1, r0, r1, acc)
+
+    rec(0, a0, a1, [])
+    out.sort(key=lambda m: tuple((keys[b], a) for b, a in m))
+    return out
+
+
+@lru_cache(maxsize=None)  # one entry per generator, as for algebra._loop
+def _positive(g: BasisElement) -> Optional[bool]:
+    """None for a Cartan generator, else whether the root of g is positive."""
+    return None if is_cartan(g) else is_positive(weight_of(g))
+
+
 class VermaModule:
     """The module engine for one highest weight (and one basis order).
 
-    All methods are pure.  Single-generator actions (``_cache``), words
-    applied to v (``_words``) and level-0 bases (``_bases``) are memoized
-    per instance, so reusing one engine across a scan is much faster than
-    constructing fresh ones.
+    All methods are pure.  Single-generator actions (``_cache``) and words
+    applied to v (``_words``) are memoized per instance, so reusing one
+    engine across a scan is much faster than constructing fresh ones.
     """
 
     def __init__(self, hw: HighestWeight, sort_key: SortKey = basis_sort_key):
         self.hw = hw
         self.key = sort_key
-        self._lam = hw.weight()
+        # the Cartan eigenvalues on v by kind, ints where integral
+        self._lam = {kind: val.numerator if val.denominator == 1 else val
+                     for kind, val in zip(("h", "c1", "c2", "d1", "d2"), astuple(hw.weight()))}
         self._cache: dict[tuple[BasisElement, PBWMonomial], dict[PBWMonomial, Rational]] = {}
         self._words: dict[tuple[tuple[BasisElement, int], ...], ModuleVector] = {}
-        self._bases: dict[tuple[int, int], list[PBWMonomial]] = {}
 
     # -- single generator action ------------------------------------------
 
     def _act_basis(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Rational]:
         hit = self._cache.get((g, m))
-        if hit is not None:
-            return hit
-        res = self._act_basis_uncached(g, m)
-        self._cache[(g, m)] = res
-        return res
+        if hit is None:
+            hit = self._cache[(g, m)] = self._act_basis_uncached(g, m)
+        return hit
 
     def _act_basis_uncached(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Rational]:
-        if is_cartan(g):
-            # Cartan elements act diagonally: m*v has weight lam + wt(m), whose
-            # fields are named after the kinds h, c1, c2, d1, d2 of the basis.
-            val = getattr(self._lam + Weight.from_root(monomial_weight(m)), g.kind)
-            if not val:
-                return {}
-            return {m: val.numerator if val.denominator == 1 else val}
-        positive = is_positive(weight_of(g))
+        positive = _positive(g)
+        if positive is None:
+            # Cartan elements act diagonally: m*v has weight lam + wt(m), and
+            # wt(m) adds the integers 2a to h, n1 to d1, n2 to d2, 0 to c1, c2.
+            val = self._lam[g.kind]
+            if g.kind == H:
+                val += 2 * sum(ALPHA_COEFF[b.kind] * a for b, a in m)
+            elif g.kind in ("d1", "d2"):  # degree index 0 or 1
+                val += sum(b.degree[g.kind == "d2"] * a for b, a in m)
+            return {m: val} if val else {}
         if not m:
-            if positive:
-                return {}
-            return {((g, 1),): 1}
+            return {} if positive else {((g, 1),): 1}
         (lead, a) = m[0]
+        kl = self.key(lead)
         if not positive:
-            kg, kl = self.key(g), self.key(lead)
+            kg = self.key(g)
             if kg > kl:
                 return {((g, 1),) + m: 1}
             if kg == kl:
@@ -286,7 +321,7 @@ class VermaModule:
         for m2, c2 in self._act_basis(g, tail).items():
             # termination: the degree-preserving part of g*tail is the
             # sorted multiset of its letters, so lead re-attaches directly.
-            if monomial_degree(m2) >= deg and self.key(lead) < self.key(m2[0][0]):
+            if monomial_degree(m2) >= deg and kl < self.key(m2[0][0]):
                 raise AssertionError(f"straightening: {lead!r} does not re-attach "
                                      f"to {format_monomial(m2)}")
             add_scaled(out, self._act_basis(lead, m2), c2)
@@ -339,39 +374,13 @@ class VermaModule:
         Only factors from the horizontal affine negative half can occur:
         all negative roots have delta2-degree <= 0, so a factor below level
         0 could never be compensated.  The enumeration therefore restricts
-        to f(-k,0), e(-k,0), h(-k,0).  The list is memoized per engine and
-        shared by every caller, who must not change it.
+        to f(-k,0), e(-k,0), h(-k,0).  The list is cached per order and
+        drop, shared by every engine and caller, who must not change it.
         """
         a0, a1 = eta if isinstance(eta, tuple) else q1_coords(eta)
         if a0 < 0 or a1 < 0:
             raise ValueError(f"eta outside the nonnegative simple-root cone: {(a0, a1)}")
-        out = self._bases.get((a0, a1))
-        if out is None:
-            out = self._bases[(a0, a1)] = self._enumerate_basis(a0, a1)
-        return out
-
-    def _enumerate_basis(self, a0: int, a1: int) -> list[PBWMonomial]:
-        gens = _affine_negative_generators(a0, a1)
-        gens.sort(key=lambda g: self.key(g[0]), reverse=True)
-        out: list[PBWMonomial] = []
-
-        def rec(idx: int, r0: int, r1: int, acc: list[tuple[BasisElement, int]]):
-            if r0 == 0 and r1 == 0:
-                out.append(tuple(acc))
-                return
-            if idx == len(gens):
-                return
-            b, (c0, c1) = gens[idx]
-            top = min(r0 // c0 if c0 else r1, r1 // c1 if c1 else r0)
-            for exp in range(top, 0, -1):
-                acc.append((b, exp))
-                rec(idx + 1, r0 - exp * c0, r1 - exp * c1, acc)
-                acc.pop()
-            rec(idx + 1, r0, r1, acc)
-
-        rec(0, a0, a1, [])
-        out.sort(key=lambda m: tuple((self.key(b), a) for b, a in m))
-        return out
+        return _level0_basis(self.key, a0, a1)
 
     def weight_space_basis_truncated(self, eta: RootVector, window: int) -> list[PBWMonomial]:
         """TRUNCATED enumeration below level 0: factors limited to |delta1-degree| <= window.

@@ -1,12 +1,14 @@
 """Bracket table, gradings, and the element text syntax."""
 
 from fractions import Fraction
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
-from toroidal_sl2 import (AlgebraElement, ModuleVector, RootVector, bracket, e,
-                          f, format_element, h, parse_element, weight_of)
+from toroidal_sl2 import (AlgebraElement, BasisElement, ModuleVector,
+                          RootVector, bracket, e, f, format_element, h,
+                          parse_element, weight_of)
 from toroidal_sl2.algebra import C1, C2, D1, D2, add_scaled
 
 from conftest import random_basis_element
@@ -48,6 +50,22 @@ def test_weight_of():
     assert weight_of(f(2, -1)) == RootVector(-1, 2, -1)
     assert weight_of(C1) == RootVector(0, 0, 0)
     assert weight_of(h(0, 3)) == RootVector(0, 0, 3)
+
+
+def test_basis_element_hashes_as_the_tuple_of_its_fields():
+    # the C hash of tuples, with the value the dataclass hash had, so the
+    # iteration order of every dict and set keyed on generators is kept
+    assert BasisElement.__hash__ is tuple.__hash__
+    assert hash(e(0, 0)) == hash(("e", (0, 0)))
+    assert hash(C1) == hash(("c1", None))
+    assert repr(f(-2, 1)) == "f(-2,1)" and repr(D2) == "d2"
+
+
+def test_basis_element_pickle_round_trip():
+    for b in (e(0, 0), f(-2, 1), h(3, -1), C1, C2, D1, D2):
+        back = pickle.loads(pickle.dumps(b))
+        assert type(back) is BasisElement
+        assert back == b and hash(back) == hash(b) and repr(back) == repr(b)
 
 
 def test_sort_key_is_a_strict_total_order():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd, lcm
+import random
 
 from toroidal_sl2 import HighestWeight, linalg, module_for
 from toroidal_sl2.singular import RAISING, _raising_matrix
@@ -196,3 +197,57 @@ def test_row_first_pivoting_bounds_row_updates(monkeypatch):
     monkeypatch.setattr(linalg, "_update", counted)
     assert linalg.rank(stacked) == len(basis) == 480
     assert 0 < updates <= 5479
+
+
+def _eliminate_by_scan(rows):
+    """Reference pivot order: a linear scan over the active rows per pivot."""
+    active = {i: row for i, row in enumerate(rows) if row}
+    rows_in = {}
+    for i, row in active.items():
+        for j in row:
+            rows_in.setdefault(j, set()).add(i)
+    pivots = []
+    while active:
+        pi = min(active, key=lambda i: (len(active[i]), i))
+        prow = active.pop(pi)
+        pc = min(prow, key=lambda j: (len(rows_in[j]), abs(prow[j]), j))
+        for j in prow:
+            rows_in[j].discard(pi)
+        for i in list(rows_in[pc]):
+            new = linalg._update(active[i], prow, pc)
+            for j in prow:
+                if j in new:
+                    rows_in[j].add(i)
+                else:
+                    rows_in[j].discard(i)
+            if new:
+                active[i] = new
+            else:
+                del active[i]
+        pivots.append((pc, prow))
+    return pivots
+
+
+def test_heap_pivot_order_matches_linear_scan():
+    for seed in range(40):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(1, 40), rng.randint(1, 40)
+        density = rng.choice([0.05, 0.15, 0.4])
+        base = [{j: rng.choice([-3, -2, -1, 1, 2, 5]) for j in range(ncols)
+                 if rng.random() < density} for _ in range(nrows)]
+        # sums and multiples of earlier rows, so rows shrink and vanish
+        for _ in range(nrows // 2):
+            a, b = rng.choice(base), rng.choice(base)
+            row = dict(a)
+            for j, v in b.items():
+                row[j] = row.get(j, 0) + rng.choice([-1, 2]) * v
+            base.append({j: v for j, v in row.items() if v})
+        rng.shuffle(base)
+        sparse = [linalg._primitive(row.items()) for row in base]
+        assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
+    # and on a stacked raising matrix
+    engine = module_for(HighestWeight(1, 2))
+    basis = engine.weight_space_basis((5, 5))
+    stacked = [row for g in RAISING for row in _raising_matrix(engine, g, basis, (5, 5))]
+    sparse = [linalg._primitive(enumerate(row)) for row in stacked]
+    assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)

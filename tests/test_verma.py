@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from toroidal_sl2 import (HighestWeight, ModuleVector, bracket, dim_oracle,
-                          e, f, format_monomial, h, module_for,
-                          parse_monomial_text, root_from_q1, weight_of,
-                          weight_space_basis)
+from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key,
+                          bracket, dim_oracle, e, f, format_monomial, h,
+                          module_for, parse_monomial_text, root_from_q1,
+                          weight_of, weight_space_basis)
 from toroidal_sl2.algebra import C1, C2, D1, D2
 from toroidal_sl2.roots import CartanElement, Weight
-from toroidal_sl2.verma import VermaModule, is_canonical, monomial_weight
+from toroidal_sl2.verma import (VermaModule, _level0_basis, is_canonical,
+                                monomial_weight)
 
 from conftest import (random_basis_element, random_canonical_monomial,
                       random_negative_element)
@@ -65,6 +66,18 @@ class TestAct:
         assert eng.act(C1, vec) == 3 * vec
         assert eng.act(D1, vec) == 0 * vec  # d1-eigenvalue 1 + (-1)
         assert eng.act(D2, vec) == 0 * vec
+        # below level 0, with non-integral and nonzero d-values:
+        # wt(e(0,-1)^2 f(1,-1)) = alpha + delta1 - 3 delta2
+        eng = module_for(HighestWeight(Fraction(1, 2), 3, Fraction(1, 3), -2))
+        m = ((e(0, -1), 2), (f(1, -1), 1))
+        assert is_canonical(m)
+        vec = mono(*m)
+        assert eng.act(h(0, 0), vec) == Fraction(5, 2) * vec
+        assert eng.act(C1, vec) == 3 * vec
+        assert eng.act(C2, vec).is_zero()
+        assert eng.act(D1, vec) == Fraction(4, 3) * vec
+        assert eng.act(D2, vec) == -5 * vec
+        assert eng.act(D2, V) == -2 * V
 
     def test_cartan_value_is_the_weight_field_of_its_kind(self, rng):
         # the engine reads the eigenvalue of g off the field named g.kind;
@@ -75,16 +88,22 @@ class TestAct:
                 assert getattr(w, g.kind) == w.pair(CartanElement.make(**{g.kind: 1}))
 
     def test_cartan_action_matches_pairing(self, rng):
-        for _ in range(40):
+        fixed = [((e(0, -1), 2), (f(1, -1), 1)),
+                 ((h(-1, -2), 1), (e(2, -1), 3), (f(0, 0), 1)),
+                 ((f(-1, -1), 1), (h(-2, 0), 2))]
+        for i in range(40):
             n1, k1, d1, d2 = (Fraction(rng.randint(lo, 6), rng.randint(1, 5))
                               for lo in (-6, 0, -6, -6))
+            if i % 4 == 0:  # integral weights with nonzero d-values
+                n1, k1, d1, d2 = rng.randint(-6, 6), rng.randint(0, 6), 3, -4
             hw = HighestWeight(n1, k1, d1, d2)
             eng = VermaModule(hw)
-            m = random_canonical_monomial(rng)
-            mu = hw.weight() + Weight.from_root(monomial_weight(m))
-            for g in CARTAN:
-                expected = mu.pair(CartanElement.make(**{g.kind: 1})) * ModuleVector.monomial(m)
-                assert eng.act(g, ModuleVector.monomial(m)) == expected
+            for m in [random_canonical_monomial(rng)] + fixed:
+                assert is_canonical(m)
+                mu = hw.weight() + Weight.from_root(monomial_weight(m))
+                for g in CARTAN:
+                    expected = mu.pair(CartanElement.make(**{g.kind: 1})) * ModuleVector.monomial(m)
+                    assert eng.act(g, ModuleVector.monomial(m)) == expected
 
     @pytest.mark.parametrize("n1", [0, 1, 2])
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -249,6 +268,21 @@ class TestEngineMemos:
             assert memo.apply_word(word) == expected
             assert memo.apply_word(tuple(word)) is memo.apply_word(word)
         assert not plain._words
+
+    def test_bases_are_shared_by_engines_of_one_order(self):
+        one = VermaModule(HighestWeight(1, 2))
+        two = VermaModule(HighestWeight(Fraction(-3, 2), Fraction(5, 4), 1, 2))
+        other = VermaModule(HighestWeight(1, 2), alt_key)
+        for eta in [(4, 4), (3, 5), (0, 0)]:
+            basis = one.weight_space_basis(eta)
+            assert two.weight_space_basis(eta) is basis
+            assert basis == _level0_basis.__wrapped__(basis_sort_key, *eta)
+            own = other.weight_space_basis(eta)
+            assert own is other.weight_space_basis(eta) and own is not basis
+            assert own == _level0_basis.__wrapped__(alt_key, *eta)
+            assert all(is_canonical(m, alt_key) for m in own)
+            # the same products of letters, each written in its own order
+            assert {frozenset(m) for m in own} == {frozenset(m) for m in basis}
 
     def test_memoized_basis_matches_fresh_enumeration(self):
         hw = HighestWeight(1, 2)

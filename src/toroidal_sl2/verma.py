@@ -27,10 +27,11 @@ of them and is labeled as a truncation.
 Exact arithmetic, once.  Coefficients are ``int`` while integral and
 ``Fraction`` only where a non-integral weight field enters; both print and
 compare alike, so reports do not depend on which one a value is.  Each
-engine memoizes single-generator actions on monomials and words applied to
-v (a word is its leading letter applied to the memoized word one letter
-shorter, so words sharing a tail are straightened once).  Level-0 bases do
-not depend on the weight; one bounded cache serves every engine.
+engine memoizes positive and Cartan letters on monomials and words applied
+to v (a word is its leading letter applied to the memoized word one letter
+shorter, so words sharing a tail are straightened once).  Negative letters
+and level-0 bases do not depend on the weight; one memo per order serves
+every engine, and ``module_for`` keeps only the newest engines.
 """
 
 from __future__ import annotations
@@ -260,6 +261,11 @@ def _level0_basis(sort_key: SortKey, a0: int, a1: int) -> list[PBWMonomial]:
     return out
 
 
+# negative-letter actions per PBW order (see VermaModule._act_basis)
+_NEGATIVE_MEMOS: dict[SortKey, dict[tuple[BasisElement, PBWMonomial],
+                                     dict[PBWMonomial, Rational]]] = {}
+
+
 @lru_cache(maxsize=None)  # one entry per generator, as for algebra._loop
 def _positive(g: BasisElement) -> Optional[bool]:
     """None for a Cartan generator, else whether the root of g is positive."""
@@ -269,9 +275,10 @@ def _positive(g: BasisElement) -> Optional[bool]:
 class VermaModule:
     """The module engine for one highest weight (and one basis order).
 
-    All methods are pure.  Single-generator actions (``_cache``) and words
-    applied to v (``_words``) are memoized per instance, so reusing one
-    engine across a scan is much faster than constructing fresh ones.
+    All methods are pure.  Positive and Cartan letters (``_cache``) and
+    words applied to v (``_words``) are memoized per instance, so reusing
+    one engine across a scan is much faster than constructing fresh ones;
+    negative letters (``_negative``) share one memo per order.
     """
 
     def __init__(self, hw: HighestWeight, sort_key: SortKey = basis_sort_key):
@@ -281,14 +288,21 @@ class VermaModule:
         self._lam = {kind: val.numerator if val.denominator == 1 else val
                      for kind, val in zip(("h", "c1", "c2", "d1", "d2"), astuple(hw.weight()))}
         self._cache: dict[tuple[BasisElement, PBWMonomial], dict[PBWMonomial, Rational]] = {}
+        self._negative = _NEGATIVE_MEMOS.setdefault(sort_key, {})
         self._words: dict[tuple[tuple[BasisElement, int], ...], ModuleVector] = {}
 
     # -- single generator action ------------------------------------------
 
     def _act_basis(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Rational]:
-        hit = self._cache.get((g, m))
+        # A negative letter on m (all letters negative) only reorders and
+        # brackets negative letters, and the bracket of two is a negative-root
+        # generator or zero, never a Cartan or central term: lam is never
+        # read.  Those actions go to the memo of the order, shared by every
+        # engine, so it grows with the depth scanned, not with the weights.
+        memo = self._negative if _positive(g) is False else self._cache
+        hit = memo.get((g, m))
         if hit is None:
-            hit = self._cache[(g, m)] = self._act_basis_uncached(g, m)
+            hit = memo[(g, m)] = self._act_basis_uncached(g, m)
         return hit
 
     def _act_basis_uncached(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Rational]:
@@ -321,7 +335,7 @@ class VermaModule:
         for m2, c2 in self._act_basis(g, tail).items():
             # termination: the degree-preserving part of g*tail is the
             # sorted multiset of its letters, so lead re-attaches directly.
-            if monomial_degree(m2) >= deg and kl < self.key(m2[0][0]):
+            if m2 and kl < self.key(m2[0][0]) and monomial_degree(m2) >= deg:
                 raise AssertionError(f"straightening: {lead!r} does not re-attach "
                                      f"to {format_monomial(m2)}")
             add_scaled(out, self._act_basis(lead, m2), c2)
@@ -430,16 +444,21 @@ class VermaModule:
         return out
 
 
+# A command straightens for one weight; a few more keep callers that
+# alternate among a handful of weights warm, while a sweep over many
+# weights, each used once, keeps at most this many engines' memos alive.
+_MAX_ENGINES = 8
 _ENGINES: dict[tuple, VermaModule] = {}
 
 
 def module_for(hw: HighestWeight, sort_key: SortKey = basis_sort_key) -> VermaModule:
-    """Shared engine per (highest weight, order); reuses the action cache."""
+    """Shared engine per (highest weight, order); the oldest is evicted first."""
     key = (hw, sort_key)
     eng = _ENGINES.get(key)
     if eng is None:
-        eng = VermaModule(hw, sort_key)
-        _ENGINES[key] = eng
+        if len(_ENGINES) >= _MAX_ENGINES:
+            del _ENGINES[next(iter(_ENGINES))]
+        eng = _ENGINES[key] = VermaModule(hw, sort_key)
     return eng
 
 

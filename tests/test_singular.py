@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from toroidal_sl2 import (HighestWeight, ModuleVector, e, f, find_singular,
-                          h, module_for, orbit_report, raising_generators,
+from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key, e, f,
+                          find_singular, h, module_for, orbit_report, raising_generators,
                           scan_vs_dot_orbit, scan_weights)
 from toroidal_sl2.roots import dot_action, q1_coords, weight_as_root
 from toroidal_sl2.singular import dot_orbit_drops, dot_orbit_etas
+from toroidal_sl2.verma import _ENGINES, _MAX_ENGINES
 
 from test_verma import alt_key
 
@@ -164,9 +165,28 @@ def test_half_integral_weight_caches_no_integral_fractions():
     # those are stored as int, the rest stay Fraction
     hw = HighestWeight(Fraction(1, 2), 3)
     scan_weights(hw, 8)
-    coeffs = [c for terms in module_for(hw)._cache.values() for c in terms.values()]
+    engine = module_for(hw)
+    coeffs = [c for terms in engine._cache.values() for c in terms.values()]
     assert any(type(c) is Fraction for c in coeffs)
     assert not any(type(c) is Fraction and c.denominator == 1 for c in coeffs)
+    # negative letters never read lam: their shared memo is integral
+    assert engine._negative
+    assert all(type(c) is int for terms in engine._negative.values() for c in terms.values())
+
+
+def test_evicted_engine_is_rebuilt_with_the_same_reports():
+    hw = HighestWeight(1, 2)
+
+    def reports():
+        return [find_singular(hw, (a0, total - a0)).to_json()
+                for total in range(1, 7) for a0 in range(total + 1)]
+
+    first, engine = reports(), module_for(hw)
+    for n1 in range(_MAX_ENGINES):
+        module_for(HighestWeight(n1, 50))
+    assert (hw, basis_sort_key) not in _ENGINES
+    assert reports() == first
+    assert module_for(hw) is not engine
 
 
 def test_kernel_vectors_have_integer_coefficients():

@@ -10,7 +10,8 @@ from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key,
                           weight_of, weight_space_basis)
 from toroidal_sl2.algebra import C1, C2, D1, D2
 from toroidal_sl2.roots import CartanElement, Weight
-from toroidal_sl2.verma import (VermaModule, _level0_basis, is_canonical,
+from toroidal_sl2.verma import (_ENGINES, _MAX_ENGINES, _NEGATIVE_MEMOS,
+                                VermaModule, _level0_basis, is_canonical,
                                 monomial_weight)
 
 from conftest import (random_basis_element, random_canonical_monomial,
@@ -141,6 +142,20 @@ class TestAct:
         for _ in range(40):
             m = random_canonical_monomial(rng)
             assert eng.apply_word(m) == ModuleVector.monomial(m)
+
+    def test_unsorted_monomial_fails_the_termination_check(self):
+        # h(-1,0) sorts below e(-1,0), so this word is not canonical, and
+        # its leading letter cannot re-attach after f(0,0) moves past it
+        eng = module_for(HighestWeight(1, 2))
+        with pytest.raises(AssertionError, match="does not re-attach"):
+            eng.act(f(0, 0), mono((h(-1, 0), 1), (e(-1, 0), 1)))
+
+    def test_order_with_shared_keys_is_rejected(self):
+        def tied(b):
+            return basis_sort_key(f(-1, 0) if b == e(-1, 0) else b)
+        eng = VermaModule(HighestWeight(1, 2), tied)
+        with pytest.raises(ValueError, match="sort key is not strict"):
+            eng.act(e(-1, 0), mono((f(-1, 0), 1)))
 
     def test_weight_correctness(self):
         eng = module_for(HighestWeight(1, 2))
@@ -284,6 +299,59 @@ class TestEngineMemos:
             # the same products of letters, each written in its own order
             assert {frozenset(m) for m in own} == {frozenset(m) for m in basis}
 
+    def test_negative_letter_actions_are_shared_by_engines_of_one_order(self):
+        engines = [VermaModule(HighestWeight(1, 2)),
+                   VermaModule(HighestWeight(Fraction(-3, 2), Fraction(5, 4))),
+                   VermaModule(HighestWeight(1, 2, d1=3, d2=Fraction(-1, 3)))]
+        other = VermaModule(HighestWeight(1, 2), alt_key)
+        assert all(eng._negative is _NEGATIVE_MEMOS[basis_sort_key] for eng in engines)
+        assert other._negative is _NEGATIVE_MEMOS[alt_key]
+        assert other._negative is not engines[0]._negative
+        for eng, eta in [(engines[0], (3, 3)), (other, (3, 3)), (engines[0], (2, 4))]:
+            for m in eng.weight_space_basis(eta):
+                for g in (f(0, 0), e(-1, 0), h(-2, 0), f(-1, -1)):
+                    first = eng._act_basis(g, m)
+                    assert eng._negative[(g, m)] is first
+                    if eng is not other:
+                        assert all(e2._act_basis(g, m) is first for e2 in engines[1:])
+        # positive and Cartan letters read lam, so they stay with the engine
+        eng = engines[1]
+        for g in (e(0, 0), f(1, 0), h(0, 0), D1):
+            assert (g, ((f(0, 0), 1),)) not in eng._negative
+            eng._act_basis(g, ((f(0, 0), 1),))
+            assert (g, ((f(0, 0), 1),)) in eng._cache
+
+    def test_negative_letter_memo_does_not_depend_on_the_weight(self):
+        # the same raising actions at two weights, each in a fresh copy of the
+        # order, fill equal memos; afterwards 19 more weights add nothing
+        memos = []
+        for hw in (HighestWeight(Fraction(1, 3), Fraction(5, 7)),
+                   HighestWeight(Fraction(-3, 2), Fraction(5, 4), Fraction(1, 2), 2)):
+            eng = VermaModule(hw, lambda b: basis_sort_key(b))
+            raise_basis(eng, 5)
+            memos.append(eng._negative)
+        assert memos[0] and memos[0] == memos[1]
+
+        def order(b):
+            return basis_sort_key(b)
+
+        raise_basis(VermaModule(HighestWeight(Fraction(1, 3), Fraction(5, 7)), order), 5)
+        size = len(_NEGATIVE_MEMOS[order])
+        assert size == len(memos[0])
+        for i in range(19):
+            hw = HighestWeight(Fraction(i - 9, 1 + i % 4), Fraction(i, 2), i % 3, -i)
+            raise_basis(VermaModule(hw, order), 5)
+        assert len(_NEGATIVE_MEMOS[order]) == size
+
+    def test_engine_registry_keeps_the_newest(self):
+        weights = [HighestWeight(n1, 40) for n1 in range(_MAX_ENGINES + 3)]
+        engines = [module_for(hw) for hw in weights]
+        assert len(_ENGINES) == _MAX_ENGINES
+        assert all(module_for(hw) is eng
+                   for hw, eng in zip(weights[3:], engines[3:]))
+        assert (weights[0], basis_sort_key) not in _ENGINES
+        assert module_for(weights[0]) is not engines[0]
+
     def test_memoized_basis_matches_fresh_enumeration(self):
         hw = HighestWeight(1, 2)
         eng = VermaModule(hw)
@@ -292,6 +360,15 @@ class TestEngineMemos:
                 first = eng.weight_space_basis((a0, a1))
                 assert eng.weight_space_basis(root_from_q1(a0, a1)) is first
                 assert first == VermaModule(hw).weight_space_basis((a0, a1))
+
+
+def raise_basis(eng, depth):
+    """Apply both raising letters to every basis monomial up to a height."""
+    for total in range(depth + 1):
+        for a0 in range(total + 1):
+            for m in eng.weight_space_basis((a0, total - a0)):
+                for g in (e(0, 0), f(1, 0)):
+                    eng.act(g, mono(*m))
 
 
 class TestTruncatedEnumeration:

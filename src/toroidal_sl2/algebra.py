@@ -327,7 +327,10 @@ def parse_element(text: str) -> AlgebraElement:
             gen = _CONSTANTS[tok.group("const")]
             seen_factor = True
         else:
-            coeff *= Fraction(tok.group("num"))
+            try:
+                coeff *= Fraction(tok.group("num"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in scalar {tok.group('num')!r}") from None
             seen_factor = True
     flush()
     return total

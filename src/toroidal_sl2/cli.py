@@ -24,10 +24,10 @@ from . import __version__
 from .algebra import bracket, format_element, parse_element, basis_sort_key
 from .quotient import (demo_infinite_dim, demo_nonintegrability, lchar_oracle,
                        w_multiplicity)
-from .reducibility import is_reducible, kk_pairs, sufficient_kmax
+from .reducibility import kk_pairs, sufficient_kmax
 from .roots import (RootVector, Weight, classify, dot_action, is_positive,
                     reflect, roots_in_box, NOT_ROOT)
-from .singular import SingularCertificate, find_singular, orbit_report
+from .singular import SingularCertificate, find_singular, orbit_report, scan_drops
 from .verma import HighestWeight, dim_oracle, module_for
 
 
@@ -47,28 +47,15 @@ def _parse_weight(text: str) -> tuple[Weight, HighestWeight]:
         raise CliInputError(str(exc)) from None
 
 
-def _parse_pair(text: str, what: str) -> tuple[int, int]:
+def _parse_ints(text: str, what: str, count: int, shape: str) -> tuple[int, ...]:
+    """``count`` comma-separated integers; ``shape`` describes them in errors."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise CliInputError(f"{what}: expected two comma-separated integers, got {text!r}")
+    if len(parts) != count:
+        raise CliInputError(f"{what}: expected {shape}, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        return tuple(int(p) for p in parts)
     except ValueError:
         raise CliInputError(f"{what}: expected integers, got {text!r}") from None
-
-
-def _parse_root(text: str) -> RootVector:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliInputError(f"root: expected 'a,n1,n2', got {text!r}")
-    try:
-        return RootVector(int(parts[0]), int(parts[1]), int(parts[2]))
-    except ValueError:
-        raise CliInputError(f"root: expected integers, got {text!r}") from None
-
-
-def _root_json(r: RootVector) -> dict:
-    return {"a": r.a, "n1": r.n1, "n2": r.n2}
 
 
 def _envelope(command: str, inputs: dict, result: dict) -> dict:
@@ -84,12 +71,6 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence], out) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-
-
-def _etas_to_depth(depth: int, include_zero: bool = True) -> list[tuple[int, int]]:
-    start = 0 if include_zero else 1
-    return [(a0, total - a0)
-            for total in range(start, depth + 1) for a0 in range(total + 1)]
 
 
 # -- per-command runners ------------------------------------------------------
@@ -112,10 +93,10 @@ def _run_bracket(args, out, err) -> int:
 
 def _run_roots(args, out, err) -> int:
     if args.root is not None:
-        r = _parse_root(args.root)
+        r = RootVector(*_parse_ints(args.root, "root", 3, "'a,n1,n2'"))
         cls = classify(r)
         pos = is_positive(r) if cls != NOT_ROOT else None
-        doc = _envelope("roots", {"root": _root_json(r)},
+        doc = _envelope("roots", {"root": r.to_json()},
                         {"class": cls, "positive": pos})
         _emit_json(doc, out)
         print(f"{r!r}: {cls}" + (f", positive={pos}" if pos is not None else ""), file=err)
@@ -127,7 +108,7 @@ def _run_roots(args, out, err) -> int:
     for r in roots_in_box(args.box):
         pos = is_positive(r)
         ok = ok and (pos != is_positive(-r))
-        listing.append({**_root_json(r), "class": classify(r), "positive": pos})
+        listing.append({**r.to_json(), "class": classify(r), "positive": pos})
     doc = _envelope("roots", {"box": args.box},
                     {"count": len(listing), "partition_ok": ok, "roots": listing})
     _emit_json(doc, out)
@@ -138,12 +119,12 @@ def _run_roots(args, out, err) -> int:
 def _run_reflect(args, out, err) -> int:
     w, _ = _parse_weight(args.weight)
     if args.beta is not None:
-        beta = _parse_root(args.beta)
+        beta = RootVector(*_parse_ints(args.beta, "root", 3, "'a,n1,n2'"))
         try:
             image = reflect(beta, w)
         except ValueError as exc:
             raise CliInputError(str(exc)) from None
-        inputs = {"weight": w.to_json(), "beta": _root_json(beta)}
+        inputs = {"weight": w.to_json(), "beta": beta.to_json()}
     else:
         word = [g.strip() for g in args.word.split(",") if g.strip()]
         try:
@@ -162,7 +143,7 @@ def _run_dims(args, out, err) -> int:
         raise CliInputError(f"depth: must be >= 0, got {args.depth}")
     engine = module_for(HighestWeight(0, 0))
     rows = []
-    for eta in _etas_to_depth(args.depth):
+    for eta in scan_drops(0, args.depth):
         dim = dim_oracle(eta)
         pbw = len(engine.weight_space_basis(eta))
         rows.append({"eta": list(eta), "dim": dim, "pbw": pbw, "match": dim == pbw})
@@ -213,7 +194,7 @@ def _run_singular(args, out, err) -> int:
     if args.jobs < 1:
         raise CliInputError(f"jobs: must be >= 1, got {args.jobs}")
     if args.eta is not None:
-        eta = _parse_pair(args.eta, "eta")
+        eta = _parse_ints(args.eta, "eta", 2, "two comma-separated integers")
         if eta[0] < 0 or eta[1] < 0:
             raise CliInputError(f"eta: coordinates must be >= 0, got {eta}")
         cert = _checked(find_singular(hw, eta))
@@ -228,7 +209,7 @@ def _run_singular(args, out, err) -> int:
         args.depth = 8
     if args.depth < 1:
         raise CliInputError(f"depth: must be >= 1, got {args.depth}")
-    etas = _etas_to_depth(args.depth, include_zero=False)
+    etas = scan_drops(1, args.depth)
     found = {eta: dim for eta, dim in zip(etas, _map_etas(_kernel_dim, hw, etas, args.jobs))
              if dim}
     doc = _envelope("singular", {"weight": w.to_json(), "depth": args.depth},
@@ -240,24 +221,19 @@ def _run_singular(args, out, err) -> int:
 
 def _run_reducible(args, out, err) -> int:
     w, hw = _parse_weight(args.weight)
-    if args.kmax is not None:
-        if args.kmax < 0:
-            raise CliInputError(f"kmax: must be >= 0, got {args.kmax}")
-        witnesses = kk_pairs(hw, args.kmax)
-        exhaustive = args.kmax >= sufficient_kmax(hw)
-        result = {"reducible": bool(witnesses) if exhaustive else (bool(witnesses) or None),
-                  "witnesses": [p.to_json() for p in witnesses],
-                  "scan_bound": args.kmax, "exhaustive": exhaustive}
-        verdict = result["reducible"]
-    else:
-        report = is_reducible(hw)
-        result = {**report.to_json(), "exhaustive": True}
-        verdict = report.verdict
+    if args.kmax is not None and args.kmax < 0:
+        raise CliInputError(f"kmax: must be >= 0, got {args.kmax}")
+    bound = sufficient_kmax(hw) if args.kmax is None else args.kmax
+    witnesses = kk_pairs(hw, bound)
+    exhaustive = bound >= sufficient_kmax(hw)
+    # below the decision bound, finding no witness proves nothing
+    verdict = bool(witnesses) if exhaustive else (bool(witnesses) or None)
+    result = {"reducible": verdict, "witnesses": [p.to_json() for p in witnesses],
+              "scan_bound": bound, "exhaustive": exhaustive}
     doc = _envelope("reducible", {"weight": w.to_json(), "kmax": args.kmax}, result)
     _emit_json(doc, out)
     shown = "unknown (bound not exhaustive)" if verdict is None else verdict
-    print(f"reducible: {shown} ({len(result['witnesses'])} witnesses, "
-          f"bound {result['scan_bound']})", file=err)
+    print(f"reducible: {shown} ({len(witnesses)} witnesses, bound {bound})", file=err)
     return 0
 
 
@@ -270,7 +246,7 @@ def _run_quotient_char(args, out, err) -> int:
         raise CliInputError(f"depth: must be >= 0, got {args.depth}")
     if args.jobs < 1:
         raise CliInputError(f"jobs: must be >= 1, got {args.jobs}")
-    rows = _map_etas(_quotient_row, hw, _etas_to_depth(args.depth), args.jobs)
+    rows = _map_etas(_quotient_row, hw, scan_drops(0, args.depth), args.jobs)
     if args.format == "csv":
         _emit_csv(["eta", "ambient", "submodule", "quotient", "l_oracle"],
                   [[f"{r['eta'][0]},{r['eta'][1]}", r["ambient"], r["submodule"],

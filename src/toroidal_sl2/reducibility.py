@@ -54,7 +54,7 @@ class ResonancePair:
 
     def to_json(self) -> dict:
         return {
-            "beta": {"a": self.beta.a, "n1": self.beta.n1, "n2": self.beta.n2},
+            "beta": self.beta.to_json(),
             "l": self.l,
             "quotient_weight": self.quotient_weight.to_json(),
         }

@@ -68,6 +68,9 @@ class RootVector:
     def is_zero(self) -> bool:
         return self.a == 0 and self.n1 == 0 and self.n2 == 0
 
+    def to_json(self) -> dict:
+        return {"a": self.a, "n1": self.n1, "n2": self.n2}
+
     def __repr__(self) -> str:
         return f"RootVector({self.a}, {self.n1}, {self.n2})"
 

@@ -117,16 +117,15 @@ def find_singular(hw: HighestWeight, eta: Union[RootVector, tuple[int, int]],
     return SingularCertificate(coords, weight, len(basis), tuple(kernel), tuple(checks))
 
 
-def scan_weights(hw: HighestWeight, depth: int,
-                 sort_key: SortKey = basis_sort_key) -> dict[tuple[int, int], int]:
-    """Kernel dimensions for every eta with 1 <= a0 + a1 <= depth."""
-    out: dict[tuple[int, int], int] = {}
-    for total in range(1, depth + 1):
-        for a0 in range(total + 1):
-            cert = find_singular(hw, (a0, total - a0), sort_key)
-            if cert.kernel_dim:
-                out[(a0, total - a0)] = cert.kernel_dim
-    return out
+def scan_drops(low: int, depth: int) -> list[tuple[int, int]]:
+    """Drops (a0, a1) with low <= a0 + a1 <= depth, by height, then by a0."""
+    return [(a0, total - a0) for total in range(low, depth + 1) for a0 in range(total + 1)]
+
+
+def scan_weights(hw: HighestWeight, depth: int) -> dict[tuple[int, int], int]:
+    """Nonzero kernel dimensions for every eta with 1 <= a0 + a1 <= depth."""
+    return {eta: dim for eta in scan_drops(1, depth)
+            if (dim := find_singular(hw, eta).kernel_dim)}
 
 
 def dot_orbit_drops(hw: HighestWeight, height: int) -> list[tuple[int, tuple[int, int]]]:
@@ -210,7 +209,6 @@ def orbit_report(hw: HighestWeight, depth: int,
     return OrbitScanReport(depth, singular, tuple(orbit), covered, extras)
 
 
-def scan_vs_dot_orbit(hw: HighestWeight, depth: int,
-                      sort_key: SortKey = basis_sort_key) -> OrbitScanReport:
+def scan_vs_dot_orbit(hw: HighestWeight, depth: int) -> OrbitScanReport:
     """Scan singular weights to the depth and compare them with {w.lam}."""
-    return orbit_report(hw, depth, scan_weights(hw, depth, sort_key))
+    return orbit_report(hw, depth, scan_weights(hw, depth))

@@ -27,11 +27,12 @@ of them and is labeled as a truncation.
 Exact arithmetic, once.  Coefficients are ``int`` while integral and
 ``Fraction`` only where a non-integral weight field enters; both print and
 compare alike, so reports do not depend on which one a value is.  Each
-engine memoizes positive and Cartan letters on monomials and words applied
-to v (a word is its leading letter applied to the memoized word one letter
-shorter, so words sharing a tail are straightened once).  Negative letters
-and level-0 bases do not depend on the weight; one memo per order serves
-every engine, and ``module_for`` keeps only the newest engines.
+engine memoizes positive letters on monomials and words applied to v (a
+word is its leading letter applied to the memoized word one letter
+shorter, so words sharing a tail are straightened once); Cartan letters
+are read off the weight.  Negative letters and level-0 bases do not depend
+on the weight; one memo per order serves every engine, and ``module_for``
+keeps only the newest engines.
 """
 
 from __future__ import annotations
@@ -105,10 +106,16 @@ def monomial_weight(m: PBWMonomial) -> RootVector:
     return w
 
 
+@lru_cache(maxsize=None)  # one entry per generator, as for algebra._loop
+def _positive(g: BasisElement) -> Optional[bool]:
+    """None for a Cartan generator, else whether the root of g is positive."""
+    return None if is_cartan(g) else is_positive(weight_of(g))
+
+
 def is_canonical(m: PBWMonomial, key: SortKey = basis_sort_key) -> bool:
     """Factors strictly decreasing in the order, exponents >= 1, all negative."""
     for b, a in m:
-        if a < 1 or is_positive(weight_of(b)):
+        if a < 1 or _positive(b) is not False:
             return False
     keys = [key(b) for b, _ in m]
     return all(keys[i] > keys[i + 1] for i in range(len(keys) - 1))
@@ -266,19 +273,14 @@ _NEGATIVE_MEMOS: dict[SortKey, dict[tuple[BasisElement, PBWMonomial],
                                      dict[PBWMonomial, Rational]]] = {}
 
 
-@lru_cache(maxsize=None)  # one entry per generator, as for algebra._loop
-def _positive(g: BasisElement) -> Optional[bool]:
-    """None for a Cartan generator, else whether the root of g is positive."""
-    return None if is_cartan(g) else is_positive(weight_of(g))
-
-
 class VermaModule:
     """The module engine for one highest weight (and one basis order).
 
-    All methods are pure.  Positive and Cartan letters (``_cache``) and
-    words applied to v (``_words``) are memoized per instance, so reusing
-    one engine across a scan is much faster than constructing fresh ones;
-    negative letters (``_negative``) share one memo per order.
+    All methods are pure.  Positive letters (``_cache``) and words applied
+    to v (``_words``) are memoized per instance, so reusing one engine
+    across a scan is much faster than constructing fresh ones; negative
+    letters (``_negative``) share one memo per order, and Cartan letters
+    are not memoized.
     """
 
     def __init__(self, hw: HighestWeight, sort_key: SortKey = basis_sort_key):
@@ -294,28 +296,30 @@ class VermaModule:
     # -- single generator action ------------------------------------------
 
     def _act_basis(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Rational]:
-        # A negative letter on m (all letters negative) only reorders and
-        # brackets negative letters, and the bracket of two is a negative-root
-        # generator or zero, never a Cartan or central term: lam is never
-        # read.  Those actions go to the memo of the order, shared by every
-        # engine, so it grows with the depth scanned, not with the weights.
-        memo = self._negative if _positive(g) is False else self._cache
-        hit = memo.get((g, m))
-        if hit is None:
-            hit = memo[(g, m)] = self._act_basis_uncached(g, m)
-        return hit
-
-    def _act_basis_uncached(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Rational]:
         positive = _positive(g)
         if positive is None:
             # Cartan elements act diagonally: m*v has weight lam + wt(m), and
             # wt(m) adds the integers 2a to h, n1 to d1, n2 to d2, 0 to c1, c2.
+            # Read off each time: a memo of these is almost never read back.
             val = self._lam[g.kind]
             if g.kind == H:
                 val += 2 * sum(ALPHA_COEFF[b.kind] * a for b, a in m)
             elif g.kind in ("d1", "d2"):  # degree index 0 or 1
                 val += sum(b.degree[g.kind == "d2"] * a for b, a in m)
             return {m: val} if val else {}
+        # A negative letter on m (all letters negative) only reorders and
+        # brackets negative letters, and the bracket of two is a negative-root
+        # generator or zero, never a Cartan or central term: lam is never
+        # read.  Those actions go to the memo of the order, shared by every
+        # engine, so it grows with the depth scanned, not with the weights.
+        memo = self._cache if positive else self._negative
+        hit = memo.get((g, m))
+        if hit is None:
+            hit = memo[(g, m)] = self._act_basis_uncached(g, positive, m)
+        return hit
+
+    def _act_basis_uncached(self, g: BasisElement, positive: bool,
+                            m: PBWMonomial) -> dict[PBWMonomial, Rational]:
         if not m:
             return {} if positive else {((g, 1),): 1}
         (lead, a) = m[0]
@@ -328,6 +332,9 @@ class VermaModule:
                 if g != lead:
                     raise ValueError(f"sort key is not strict: {g!r} and {lead!r} share a key")
                 return {((lead, a + 1),) + m[1:]: 1}
+        # m must be canonical, else a negative g reads lam into the shared memo
+        if _positive(lead) is not False:
+            raise ValueError(f"{format_monomial(m)} is not a canonical monomial")
         # g must move right: g * lead^a * rest = lead * (g * tail) + [g, lead] * tail
         tail = ((lead, a - 1),) + m[1:] if a > 1 else m[1:]
         deg = monomial_degree(m)

@@ -155,7 +155,8 @@ def test_parse_element_coefficient_products():
     assert parse_element("-e(0,0)") == -1 * elt(e(0, 0))
 
 
-@pytest.mark.parametrize("bad", ["", "3", "e(1,0)*f(0,0)", "q(1,0)", "e(1,0) +"])
+@pytest.mark.parametrize("bad", ["", "3", "e(1,0)*f(0,0)", "q(1,0)", "e(1,0) +",
+                                 "1/0*e(0,0)", "e(1,0) - 3/00*c1"])
 def test_parse_element_rejects(bad):
     with pytest.raises(ValueError):
         parse_element(bad)

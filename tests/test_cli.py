@@ -1,6 +1,7 @@
 """Command line reports: shapes, schema validity, stability, exit codes."""
 
 import ast
+import contextlib
 import csv
 import hashlib
 import io
@@ -11,6 +12,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from toroidal_sl2.cli import run
 
@@ -200,6 +202,12 @@ def test_malformed_weight_exits_two_naming_field(weight, field):
     assert field in err
 
 
+def test_zero_denominator_in_element_exits_two():
+    code, out, err = invoke("bracket", "1/0*e(0,0)", "f(0,0)")
+    assert (code, out) == (2, "")
+    assert err == "error: element: zero denominator in scalar '1/0'\n"
+
+
 def test_invalid_inputs_exit_two():
     code, _, err = invoke("singular", "--weight", W11, "--eta", "0;2")
     assert code == 2 and "eta" in err
@@ -323,3 +331,99 @@ def test_console_entry_point():
     doc = json.loads(proc.stdout)
     assert doc["result"]["class"] == "imaginary"
     assert doc["result"]["positive"] is True
+
+
+# -- argv fuzz: every input exits 0 or 2, and a report is valid and stable ----
+
+_FIELDS = ("h", "c1", "c2", "d1", "d2")
+_VALID = st.one_of(st.integers(0, 3).map(str),
+                   st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.integers(1, 3)))
+_MALFORMED = st.one_of(st.integers(-3, 3).map(lambda p: f"{p}/0"),
+                       st.sampled_from(["x", "1.5", "", "1/", "2/-3", "-1"]),
+                       st.integers(-2, 2), st.just(1.5), st.none())
+
+
+@st.composite
+def _weight(draw):
+    fields = {name: draw(_VALID) for name in _FIELDS}
+    fields["c1"] = draw(st.one_of(st.integers(1, 3).map(str), _VALID))
+    fields["c2"] = "0"
+    change = draw(st.sampled_from(["none"] * 6 + ["field", "drop", "extra", "text"]))
+    if change == "field":
+        fields[draw(st.sampled_from(_FIELDS))] = draw(_MALFORMED)
+    elif change == "drop":
+        del fields[draw(st.sampled_from(_FIELDS))]
+    elif change == "extra":
+        fields["k"] = "0"
+    elif change == "text":
+        return draw(st.sampled_from(["not json", "[]", "{", "1", '{"h": }']))
+    return json.dumps(fields)
+
+
+_INT = st.integers(-1, 3).map(str)
+_COUNT = st.one_of(st.integers(1, 3).map(str), _INT)
+
+
+def _ints(count):
+    return st.one_of(st.lists(_INT, min_size=count, max_size=count).map(",".join),
+                     st.lists(_INT, max_size=4).map(",".join),
+                     st.sampled_from(["a,b", "1;2", "1,,2", "0x1,0,0"]))
+
+
+_ELEMENT = st.one_of(
+    st.lists(st.sampled_from(["e(1,0)", "f(-1,0)", "h(0,1)", "h(0,-1)", "c1", "d2",
+                              "1/0*e(0,0)", "2/3*f(0,0)", "0*e(0,0)", "-h(1,0)"]),
+             min_size=1, max_size=3).map(" + ".join),
+    st.text(alphabet="efhcd01(),+-*/ ", max_size=12))
+_WORD = st.lists(st.sampled_from(["r0", "r1", "r1", "r2", ""]), max_size=4).map(",".join)
+_FORMAT = st.sampled_from([[], ["--format", "json"], ["--format", "csv"], ["--format", "x"]])
+
+
+def _opt(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+_WEIGHT = _opt("--weight", _weight())
+_ARGV = st.one_of(
+    st.tuples(st.just(["bracket"]), st.one_of(st.tuples(_ELEMENT, _ELEMENT).map(list),
+                                               st.lists(_ELEMENT, max_size=3))),
+    st.tuples(st.just(["roots"]), st.one_of(_opt("--root", _ints(3)), _opt("--box", _INT))),
+    st.tuples(st.just(["reflect"]), _WEIGHT,
+              st.one_of(_opt("--beta", _ints(3)), _opt("--word", _WORD))),
+    st.tuples(st.just(["dims"]), _opt("--depth", _INT), _FORMAT),
+    st.tuples(st.just(["singular", "--jobs", "1"]), _WEIGHT,
+              st.one_of(_opt("--eta", _ints(2)), _opt("--depth", _INT))),
+    st.tuples(st.just(["reducible"]), _WEIGHT,
+              st.one_of(st.just([]), _opt("--kmax", _INT))),
+    st.tuples(st.just(["quotient-char", "--jobs", "1"]), _WEIGHT,
+              _opt("--depth", _INT), _FORMAT),
+    st.tuples(st.just(["demos"]), _WEIGHT, _opt("--nmax", _COUNT), _opt("--size", _COUNT)),
+    # argv that argparse itself rejects
+    st.tuples(st.sampled_from([[], ["nope"], ["singular"], ["reflect", "--weight", W11],
+                               ["dims", "--depth", "x"], ["roots", "--box"]])),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+def _run_or_exit(argv):
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text
+            return invoke(*argv)
+    except SystemExit as exc:  # argparse rejects the argv itself
+        return exc.code, None, None
+
+
+@settings(max_examples=250)
+@given(argv=_ARGV)
+@example(argv=["bracket", "1/0*e(0,0)", "f(0,0)"])
+def test_argv_fuzz_exits_zero_or_two(argv, schema):
+    code, out, _ = _run_or_exit(argv)
+    assert code in (0, 2), (argv, code)
+    if code == 2:
+        assert not out
+        return
+    if "csv" in argv:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) > 1 and len({len(row) for row in rows}) == 1
+    else:
+        jsonschema.validate(json.loads(out), schema)
+    assert invoke(*argv)[1] == out

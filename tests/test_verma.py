@@ -150,6 +150,16 @@ class TestAct:
         with pytest.raises(AssertionError, match="does not re-attach"):
             eng.act(f(0, 0), mono((h(-1, 0), 1), (e(-1, 0), 1)))
 
+    def test_non_canonical_monomial_is_rejected_and_not_memoized(self):
+        # a positive letter inside m would make the memo shared by the order
+        # return an answer of the first weight it was asked at
+        m = mono((e(0, 0), 1), (f(0, 0), 1))
+        for hw in (HighestWeight(1, 4), HighestWeight(3, 4)):
+            with pytest.raises(ValueError, match="is not a canonical monomial"):
+                VermaModule(hw).act(f(0, 0), m)
+        key = ((e(0, 0), 1), (f(0, 0), 1))
+        assert (f(0, 0), key) not in _NEGATIVE_MEMOS[basis_sort_key]
+
     def test_order_with_shared_keys_is_rejected(self):
         def tied(b):
             return basis_sort_key(f(-1, 0) if b == e(-1, 0) else b)
@@ -195,6 +205,13 @@ class TestWeightSpaces:
                 for m in eng.weight_space_basis((a0, a1)):
                     assert is_canonical(m)
                     assert monomial_weight(m) == -1 * root_from_q1(a0, a1)
+
+    def test_cartan_and_central_letters_are_not_canonical(self):
+        for b in CARTAN:
+            assert not is_canonical(((b, 1),))
+        # sorted, so only the Cartan letter inside makes it not canonical
+        assert not is_canonical(((f(-1, 0), 1), (h(0, 0), 1), (f(0, 0), 1)))
+        assert is_canonical(((f(-1, 0), 1), (f(0, 0), 1)))
 
     def test_rejects_outside_cone(self):
         eng = module_for(HighestWeight(0, 0))
@@ -314,12 +331,19 @@ class TestEngineMemos:
                     assert eng._negative[(g, m)] is first
                     if eng is not other:
                         assert all(e2._act_basis(g, m) is first for e2 in engines[1:])
-        # positive and Cartan letters read lam, so they stay with the engine
+        # positive letters read lam, so they stay with the engine
         eng = engines[1]
-        for g in (e(0, 0), f(1, 0), h(0, 0), D1):
+        for g in (e(0, 0), f(1, 0)):
             assert (g, ((f(0, 0), 1),)) not in eng._negative
             eng._act_basis(g, ((f(0, 0), 1),))
             assert (g, ((f(0, 0), 1),)) in eng._cache
+        # Cartan letters are read off the weight of m*v and memoized nowhere
+        eng, m = engines[2], ((f(-1, 0), 1),)
+        mu = eng.hw.weight() + Weight.from_root(monomial_weight(m))
+        for g in CARTAN:
+            val = getattr(mu, g.kind)
+            assert eng._act_basis(g, m) == ({m: val} if val else {})
+            assert (g, m) not in eng._cache and (g, m) not in eng._negative
 
     def test_negative_letter_memo_does_not_depend_on_the_weight(self):
         # the same raising actions at two weights, each in a fresh copy of the

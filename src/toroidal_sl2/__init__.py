@@ -15,13 +15,11 @@ from .roots import (ALPHA, ALPHA0, ALPHA1, DELTA1, DELTA2, RHO, CartanElement,
                     RootVector, Weight, classify, coroot, dot_action,
                     form_hstar, is_positive, q1_coords, reflect, root_from_q1)
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, VermaModule,
-                    act, dim_oracle, format_monomial, module_for,
-                    parse_monomial_text, weight_space_basis)
+                    dim_oracle, format_monomial, module_for)
 from .singular import (SingularCertificate, find_singular, orbit_report,
-                       raising_generators, scan_vs_dot_orbit, scan_weights)
+                       scan_weights)
 from .reducibility import (ReducibilityReport, ResonancePair, is_reducible,
-                           kk_pairs, maximal_submodule_generators,
-                           sufficient_kmax)
+                           kk_pairs, sufficient_kmax)
 from .quotient import (QuotientSpace, demo_infinite_dim, demo_nonintegrability,
                        lchar_oracle, quotient_singular_dim, submodule_dim_at,
                        w_multiplicity)
@@ -34,13 +32,11 @@ __all__ = [
     "ALPHA", "ALPHA0", "ALPHA1", "DELTA1", "DELTA2", "RHO", "CartanElement",
     "RootVector", "Weight", "classify", "coroot", "dot_action", "form_hstar",
     "is_positive", "q1_coords", "reflect", "root_from_q1",
-    "HighestWeight", "ModuleVector", "PBWMonomial", "VermaModule", "act",
-    "dim_oracle", "format_monomial", "module_for", "parse_monomial_text",
-    "weight_space_basis",
-    "SingularCertificate", "find_singular", "orbit_report",
-    "raising_generators", "scan_vs_dot_orbit", "scan_weights",
+    "HighestWeight", "ModuleVector", "PBWMonomial", "VermaModule",
+    "dim_oracle", "format_monomial", "module_for",
+    "SingularCertificate", "find_singular", "orbit_report", "scan_weights",
     "ReducibilityReport", "ResonancePair", "is_reducible", "kk_pairs",
-    "maximal_submodule_generators", "sufficient_kmax",
+    "sufficient_kmax",
     "QuotientSpace", "demo_infinite_dim", "demo_nonintegrability",
     "lchar_oracle", "quotient_singular_dim", "submodule_dim_at",
     "w_multiplicity",

@@ -44,6 +44,8 @@ class BasisElement(NamedTuple):
         return f"{self.kind}({m},{n})"
 
 
+# Unbounded, as it holds only letters a run builds: a level-0 scan to
+# depth D builds e, f and h at degrees (-k, 0) for k <= D, so O(D) letters.
 @lru_cache(maxsize=None)
 def _loop(kind: str, m: int, n: int) -> BasisElement:
     return BasisElement(kind, (m, n))
@@ -211,6 +213,8 @@ _SL2_BRACKET = {
 _SL2_FORM = {(E, F): 1, (F, E): 1, (H, H): 2}
 
 
+# Unbounded, as straightening brackets only pairs of letters it meets: a
+# level-0 scan to depth D touches O(D) letters, so O(D^2) pairs.
 @lru_cache(maxsize=None)
 def _bracket_basis(x: BasisElement, y: BasisElement) -> "AlgebraElement":
     if x.degree is None:

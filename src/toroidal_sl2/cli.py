@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional, Sequence
 
 from . import __version__
@@ -119,18 +118,18 @@ def _run_roots(args, out, err) -> int:
 def _run_reflect(args, out, err) -> int:
     w, _ = _parse_weight(args.weight)
     if args.beta is not None:
-        beta = RootVector(*_parse_ints(args.beta, "root", 3, "'a,n1,n2'"))
+        beta = RootVector(*_parse_ints(args.beta, "beta", 3, "'a,n1,n2'"))
         try:
             image = reflect(beta, w)
         except ValueError as exc:
-            raise CliInputError(str(exc)) from None
+            raise CliInputError(f"beta: {exc}") from None
         inputs = {"weight": w.to_json(), "beta": beta.to_json()}
     else:
         word = [g.strip() for g in args.word.split(",") if g.strip()]
         try:
             image = dot_action(word, w)
         except ValueError as exc:
-            raise CliInputError(str(exc)) from None
+            raise CliInputError(f"word: {exc}") from None
         inputs = {"weight": w.to_json(), "word": word}
     doc = _envelope("reflect", inputs, {"weight": image.to_json()})
     _emit_json(doc, out)
@@ -185,6 +184,7 @@ def _map_etas(job: Callable, hw: HighestWeight, etas: list[tuple[int, int]],
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
         return [job(hw, eta) for eta in etas]
+    from concurrent.futures import ProcessPoolExecutor  # --jobs 1 never pays for it
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, [hw] * len(etas), etas))
 
@@ -265,11 +265,11 @@ def _run_demos(args, out, err) -> int:
     w, hw = _parse_weight(args.weight)
     if hw.k1 <= 0:
         raise CliInputError(f"weight field 'c1': demos require k1 > 0, got {hw.k1}")
-    try:
-        transcript = demo_nonintegrability(hw, args.nmax)
-        report = demo_infinite_dim(hw, args.size)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    for field, value in (("nmax", args.nmax), ("size", args.size)):
+        if value < 1:
+            raise CliInputError(f"{field}: must be >= 1, got {value}")
+    transcript = demo_nonintegrability(hw, args.nmax)
+    report = demo_infinite_dim(hw, args.size)
     result = {"nonintegrability": transcript.to_json(),
               "infinite_dim": report.to_json()}
     doc = _envelope("demos", {"weight": w.to_json(), "nmax": args.nmax,

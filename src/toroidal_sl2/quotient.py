@@ -25,7 +25,7 @@ from functools import lru_cache
 from . import linalg
 from .algebra import e, f, h
 # bench/tracer.py wraps quotient.dot_action by name, so the import stays
-from .roots import RootVector, dot_action, q1_coords  # noqa: F401
+from .roots import dot_action  # noqa: F401
 from .singular import RAISING, _RAISING_DROP, _raising_matrix, dot_orbit_drops
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, dim_oracle,
                     format_monomial, module_for)
@@ -89,18 +89,16 @@ def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[
     return rows, basis
 
 
-def submodule_dim_at(hw: HighestWeight, eta: tuple[int, int] | RootVector) -> int:
+def submodule_dim_at(hw: HighestWeight, eta: tuple[int, int]) -> int:
     """Dimension of the submodule's slice of the lam - eta weight space."""
-    coords = eta if isinstance(eta, tuple) else q1_coords(eta)
-    rows, _ = _submodule_rows(hw, coords)
+    rows, _ = _submodule_rows(hw, eta)
     return linalg.rank(rows)
 
 
-def w_multiplicity(hw: HighestWeight, eta: tuple[int, int] | RootVector) -> QuotientSpace:
-    coords = eta if isinstance(eta, tuple) else q1_coords(eta)
-    ambient = dim_oracle(coords)
-    sub = submodule_dim_at(hw, coords)
-    return QuotientSpace(coords, ambient, sub, ambient - sub)
+def w_multiplicity(hw: HighestWeight, eta: tuple[int, int]) -> QuotientSpace:
+    ambient = dim_oracle(eta)
+    sub = submodule_dim_at(hw, eta)
+    return QuotientSpace(eta, ambient, sub, ambient - sub)
 
 
 @lru_cache(maxsize=64)  # a scan walks each Weyl chain once per height
@@ -108,7 +106,7 @@ def _orbit_drops(hw: HighestWeight, height: int) -> tuple[tuple[int, tuple[int, 
     return tuple(dot_orbit_drops(hw, height))
 
 
-def lchar_oracle(hw: HighestWeight, eta: tuple[int, int] | RootVector) -> int:
+def lchar_oracle(hw: HighestWeight, eta: tuple[int, int]) -> int:
     """Multiplicity in the irreducible quotient, by the alternating sum
     of shifted-orbit Verma multiplicities.
 
@@ -117,17 +115,16 @@ def lchar_oracle(hw: HighestWeight, eta: tuple[int, int] | RootVector) -> int:
     Words come from ``dot_orbit_drops`` up to the height of eta: a word
     with a higher drop contributes K = 0.
     """
-    coords = eta if isinstance(eta, tuple) else q1_coords(eta)
     _require_dominant(hw)
 
     def kostant(a0: int, a1: int) -> int:
         return dim_oracle((a0, a1)) if a0 >= 0 and a1 >= 0 else 0
 
-    total = kostant(*coords)
-    for length, (d0, d1) in _orbit_drops(hw, coords[0] + coords[1]):
-        total += (-1) ** length * kostant(coords[0] - d0, coords[1] - d1)
+    total = kostant(*eta)
+    for length, (d0, d1) in _orbit_drops(hw, eta[0] + eta[1]):
+        total += (-1) ** length * kostant(eta[0] - d0, eta[1] - d1)
     if total < 0:
-        raise AssertionError(f"character oracle is negative ({total}) at eta {coords}")
+        raise AssertionError(f"character oracle is negative ({total}) at eta {eta}")
     return total
 
 
@@ -200,7 +197,7 @@ class NonintegrabilityTranscript:
 
 
 def demo_nonintegrability(hw: HighestWeight, n_max: int = 6) -> NonintegrabilityTranscript:
-    """Verify f(0,1) e(0,-1)^N v = -N(N-1+n1) e(0,-1)^(N-1) v for N <= n_max.
+    """Verify f(0,1) e(0,-1)^N v = -N(N-1+n1) e(0,-1)^(N-1) v for 1 <= N <= n_max.
 
     Were e(0,-1) nilpotent on the highest weight line, the minimal N would
     force n1 = 0 and N = 1; the two follow-up identities then produce the
@@ -209,6 +206,8 @@ def demo_nonintegrability(hw: HighestWeight, n_max: int = 6) -> Nonintegrability
     """
     if hw.k1 <= 0:
         raise ValueError(f"nonintegrability demo needs k1 > 0 (got {hw.k1})")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1 (got {n_max})")
     engine = module_for(hw)
     checks: list[IdentityCheck] = []
     for n in range(1, n_max + 1):
@@ -263,7 +262,7 @@ def demo_infinite_dim(hw: HighestWeight, size: int) -> InfiniteDimReport:
     if hw.k1 <= 0:
         raise ValueError(f"infinite-dimensionality demo needs k1 > 0 (got {hw.k1})")
     if size < 1:
-        raise ValueError("size must be >= 1")
+        raise ValueError(f"size must be >= 1 (got {size})")
     engine = module_for(hw)
     matrix: list[list[Fraction]] = []
     for s in range(1, size + 1):

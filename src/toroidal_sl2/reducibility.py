@@ -127,8 +127,3 @@ def is_reducible(hw: HighestWeight) -> ReducibilityReport:
     bound = sufficient_kmax(hw)
     witnesses = tuple(kk_pairs(hw, bound))
     return ReducibilityReport(bool(witnesses), witnesses, bound)
-
-
-def maximal_submodule_generators(hw: HighestWeight) -> list[Weight]:
-    """Weights lam - l*beta over all witnesses within the decision bound."""
-    return [w.quotient_weight for w in is_reducible(hw).witnesses]

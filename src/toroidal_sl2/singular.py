@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import linalg
 from .algebra import BasisElement, basis_sort_key, e, f
-from .roots import (RootVector, Weight, dot_action, q1_coords, root_from_q1,
-                    weight_as_root)
+from .roots import Weight, dot_action, q1_coords, root_from_q1, weight_as_root
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, SortKey,
                     VermaModule, format_monomial, module_for)
 
@@ -38,11 +37,6 @@ RAISING: tuple[BasisElement, BasisElement] = (e(0, 0), f(1, 0))
 
 # weight drop of each raising generator in simple-root coordinates
 _RAISING_DROP = {e(0, 0): (0, 1), f(1, 0): (1, 0)}
-
-
-def raising_generators() -> tuple[BasisElement, BasisElement]:
-    """The level-0 raising elements generating the positive half there."""
-    return RAISING
 
 
 @dataclass(frozen=True)
@@ -98,23 +92,22 @@ def _raising_matrix(engine: VermaModule, g: BasisElement,
     return rows
 
 
-def find_singular(hw: HighestWeight, eta: Union[RootVector, tuple[int, int]],
+def find_singular(hw: HighestWeight, eta: tuple[int, int],
                   sort_key: SortKey = basis_sort_key) -> SingularCertificate:
     """All singular vectors of weight lam - eta, eta in the level-0 cone."""
-    coords = eta if isinstance(eta, tuple) else q1_coords(eta)
     engine = module_for(hw, sort_key)
-    basis = engine.weight_space_basis(coords)
+    basis = engine.weight_space_basis(eta)
     stacked: list[list[Fraction]] = []
     for g in RAISING:
-        stacked.extend(_raising_matrix(engine, g, basis, coords))
+        stacked.extend(_raising_matrix(engine, g, basis, eta))
     kernel = [ModuleVector({basis[j]: c for j, c in x.items()})
               for x in linalg.nullspace(stacked, len(basis))]
     checks = []
     for i, vec in enumerate(kernel):
         for g in RAISING:
             checks.append((repr(g), i, engine.act(g, vec).is_zero()))
-    weight = hw.weight() - Weight.from_root(root_from_q1(*coords))
-    return SingularCertificate(coords, weight, len(basis), tuple(kernel), tuple(checks))
+    weight = hw.weight() - Weight.from_root(root_from_q1(*eta))
+    return SingularCertificate(eta, weight, len(basis), tuple(kernel), tuple(checks))
 
 
 def scan_drops(low: int, depth: int) -> list[tuple[int, int]]:
@@ -207,8 +200,3 @@ def orbit_report(hw: HighestWeight, depth: int,
     extras = tuple(sorted(set(found) - set(orbit)))
     covered = all(eta in found for eta in orbit)
     return OrbitScanReport(depth, singular, tuple(orbit), covered, extras)
-
-
-def scan_vs_dot_orbit(hw: HighestWeight, depth: int) -> OrbitScanReport:
-    """Scan singular weights to the depth and compare them with {w.lam}."""
-    return orbit_report(hw, depth, scan_weights(hw, depth))

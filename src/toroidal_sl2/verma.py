@@ -21,8 +21,7 @@ nonzero delta2-degree can never cancel back to level 0.  Their dimensions
 equal the Kostant partition counts of the horizontal affine subalgebra,
 which ``dim_oracle`` computes by an independent dynamic program (it never
 touches the PBW engine).  Weight spaces at delta2-level < 0 are infinite
-dimensional; ``weight_space_basis_truncated`` enumerates a finite window
-of them and is labeled as a truncation.
+dimensional and are never enumerated.
 
 Exact arithmetic, once.  Coefficients are ``int`` while integral and
 ``Fraction`` only where a non-integral weight field enters; both print and
@@ -40,14 +39,12 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache
-import re
 from typing import Callable, Optional, Sequence, Union
 
 from .algebra import (ALPHA_COEFF, AlgebraElement, BasisElement, H,
                       LinearCombination, add_scaled, basis_sort_key, bracket,
-                      e, f, format_terms, h, is_cartan, weight_of, _loop)
-from .roots import (RootVector, Weight, Rational, frac, is_positive,
-                    q1_coords)
+                      e, f, format_terms, h, is_cartan, weight_of)
+from .roots import RootVector, Weight, Rational, frac, is_positive
 
 PBWMonomial = tuple[tuple[BasisElement, int], ...]
 SortKey = Callable[[BasisElement], tuple]
@@ -106,7 +103,9 @@ def monomial_weight(m: PBWMonomial) -> RootVector:
     return w
 
 
-@lru_cache(maxsize=None)  # one entry per generator, as for algebra._loop
+# Unbounded, as it classifies only letters a run acts with or meets:
+# O(D) letters on a level-0 scan to depth D, as for algebra._loop.
+@lru_cache(maxsize=None)
 def _positive(g: BasisElement) -> Optional[bool]:
     """None for a Cartan generator, else whether the root of g is positive."""
     return None if is_cartan(g) else is_positive(weight_of(g))
@@ -128,40 +127,6 @@ def format_monomial(m: PBWMonomial) -> str:
     return "*".join(parts) + "*v"
 
 
-_MONO_TOKEN = re.compile(
-    r"\s*(?:(?P<gen>[efh])\(\s*(?P<m>-?\d+)\s*,\s*(?P<n>-?\d+)\s*\)(?:\^(?P<exp>\d+))?"
-    r"|(?P<vac>v)|(?P<star>\*))\s*"
-)
-
-
-def parse_monomial_text(text: str) -> list[tuple[BasisElement, int]]:
-    """Parse ``f(0,0)^2*h(-1,0)*v`` into a factor list (any order accepted).
-
-    The result is a plain word; feed it to ``VermaModule.apply_word`` to
-    obtain the straightened module vector it denotes.
-    """
-    pos = 0
-    factors: list[tuple[BasisElement, int]] = []
-    saw_v = False
-    while pos < len(text):
-        m = _MONO_TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot parse monomial near {text[pos:pos+12]!r}")
-        if m.group("gen"):
-            if saw_v:
-                raise ValueError("factors after the vacuum symbol 'v'")
-            exp = int(m.group("exp") or 1)
-            if exp < 1:
-                raise ValueError("exponents must be positive")
-            factors.append((_loop(m.group("gen"), int(m.group("m")), int(m.group("n"))), exp))
-        elif m.group("vac"):
-            saw_v = True
-        pos = m.end()
-    if not saw_v:
-        raise ValueError("monomial text must end with the vacuum symbol 'v'")
-    return factors
-
-
 class ModuleVector(LinearCombination):
     """Finite rational combination of PBW monomials applied to v."""
 
@@ -174,13 +139,6 @@ class ModuleVector(LinearCombination):
     @staticmethod
     def monomial(m: PBWMonomial, coeff: Rational = 1) -> "ModuleVector":
         return ModuleVector({m: coeff})
-
-    def weight_drop(self) -> Optional[RootVector]:
-        """-(total weight) shared by all monomials, or None if inhomogeneous."""
-        drops = {-monomial_weight(m) for m in self.terms}
-        if len(drops) > 1:
-            return None
-        return drops.pop() if drops else RootVector(0, 0, 0)
 
     def sorted_terms(self) -> list[tuple[PBWMonomial, Fraction]]:
         def mkey(m: PBWMonomial):
@@ -211,7 +169,7 @@ def _affine_negative_generators(a0: int, a1: int) -> list[tuple[BasisElement, tu
     return gens
 
 
-def dim_oracle(eta: Union[RootVector, tuple[int, int]]) -> int:
+def dim_oracle(eta: tuple[int, int]) -> int:
     """Weight-space dimension by an independent partition count.
 
     Counts multisets of positive roots of the horizontal affine subalgebra
@@ -220,7 +178,7 @@ def dim_oracle(eta: Union[RootVector, tuple[int, int]]) -> int:
     for k >= 1, (k, k+1), (k, k-1) and (k, k), each of multiplicity one.
     This deliberately shares no code with the PBW enumeration.
     """
-    a0, a1 = eta if isinstance(eta, tuple) else q1_coords(eta)
+    a0, a1 = eta
     if a0 < 0 or a1 < 0:
         raise ValueError(f"eta outside the nonnegative simple-root cone: {(a0, a1)}")
     table = [[0] * (a1 + 1) for _ in range(a0 + 1)]
@@ -389,7 +347,7 @@ class VermaModule:
 
     # -- weight spaces ------------------------------------------------------
 
-    def weight_space_basis(self, eta: Union[RootVector, tuple[int, int]]) -> list[PBWMonomial]:
+    def weight_space_basis(self, eta: tuple[int, int]) -> list[PBWMonomial]:
         """Canonical PBW monomials of weight -eta, eta in the level-0 cone.
 
         Only factors from the horizontal affine negative half can occur:
@@ -398,57 +356,10 @@ class VermaModule:
         to f(-k,0), e(-k,0), h(-k,0).  The list is cached per order and
         drop, shared by every engine and caller, who must not change it.
         """
-        a0, a1 = eta if isinstance(eta, tuple) else q1_coords(eta)
+        a0, a1 = eta
         if a0 < 0 or a1 < 0:
             raise ValueError(f"eta outside the nonnegative simple-root cone: {(a0, a1)}")
         return _level0_basis(self.key, a0, a1)
-
-    def weight_space_basis_truncated(self, eta: RootVector, window: int) -> list[PBWMonomial]:
-        """TRUNCATED enumeration below level 0: factors limited to |delta1-degree| <= window.
-
-        The true weight spaces at delta2-level < 0 are infinite dimensional;
-        this returns only the monomials whose factors satisfy the window
-        bound, so it is a finite sample, not a basis.
-        """
-        if window < 0:
-            raise ValueError("window must be >= 0")
-        if eta.n2 < 0:
-            raise ValueError(f"eta must lie in the positive cone: {eta!r}")
-        level = eta.n2
-        deep: list[BasisElement] = []
-        for n in range(-level, 0):
-            for m in range(-window, window + 1):
-                for mk in (e, f, h):
-                    b = mk(m, n)
-                    if not is_positive(weight_of(b)):
-                        deep.append(b)
-        deep.sort(key=self.key, reverse=True)
-        out: list[PBWMonomial] = []
-
-        def rec(idx: int, remaining: RootVector, acc: list[tuple[BasisElement, int]]):
-            if remaining.n2 == 0:
-                try:
-                    a0, a1 = q1_coords(remaining)
-                except ValueError:
-                    return
-                for level0 in self.weight_space_basis((a0, a1)):
-                    if all(abs(b.degree[0]) <= window for b, _ in level0):
-                        out.append(tuple(acc) + level0)
-                return
-            if idx == len(deep):
-                return
-            b = deep[idx]
-            w = weight_of(b)
-            top = remaining.n2 // (-w.n2) if w.n2 else 0
-            for exp in range(top, 0, -1):
-                acc.append((b, exp))
-                rec(idx + 1, remaining + exp * w, acc)
-                acc.pop()
-            rec(idx + 1, remaining, acc)
-
-        rec(0, eta, [])
-        out.sort(key=lambda m: tuple((self.key(b), a) for b, a in m))
-        return out
 
 
 # A command straightens for one weight; a few more keep callers that
@@ -467,13 +378,3 @@ def module_for(hw: HighestWeight, sort_key: SortKey = basis_sort_key) -> VermaMo
             del _ENGINES[next(iter(_ENGINES))]
         eng = _ENGINES[key] = VermaModule(hw, sort_key)
     return eng
-
-
-def act(x: Union[AlgebraElement, BasisElement], v: ModuleVector,
-        hw: HighestWeight) -> ModuleVector:
-    return module_for(hw).act(x, v)
-
-
-def weight_space_basis(hw: HighestWeight,
-                       eta: Union[RootVector, tuple[int, int]]) -> list[PBWMonomial]:
-    return module_for(hw).weight_space_basis(eta)

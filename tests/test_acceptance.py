@@ -25,10 +25,10 @@ from toroidal_sl2 import (ALPHA, ALPHA0, ALPHA1, DELTA1, HighestWeight, ModuleVe
                           RootVector, bracket, demo_infinite_dim,
                           demo_nonintegrability, dim_oracle, e, f, find_singular,
                           h, is_positive, is_reducible, lchar_oracle, module_for,
-                          q1_coords, quotient_singular_dim, raising_generators,
-                          scan_vs_dot_orbit, scan_weights, w_multiplicity,
-                          weight_space_basis)
+                          orbit_report, q1_coords, quotient_singular_dim,
+                          scan_weights, w_multiplicity)
 from toroidal_sl2.roots import roots_in_box
+from toroidal_sl2.singular import RAISING
 
 from conftest import SEED, random_basis_element, random_canonical_monomial
 
@@ -73,7 +73,7 @@ def test_c03_dimension_oracle_agreement():
     for a0 in range(7):
         for a1 in range(7):
             ok = ok and len(eng.weight_space_basis((a0, a1))) == dim_oracle((a0, a1))
-    ok = ok and weight_space_basis(hw, (0, 0)) == [()]
+    ok = ok and eng.weight_space_basis((0, 0)) == [()]
     check("3 dimension oracle agreement (49 weights, top dim 1)", ok)
 
 
@@ -92,7 +92,7 @@ def test_c03_stated_dimension_at_alpha_plus_delta1():
         ok = ok and all(r.n2 == 0 and is_positive(r) for r in p)
         ok = ok and sum(p, RootVector(0, 0, 0)) == eta
     stated = len(partitions)
-    pbw = len(weight_space_basis(HighestWeight(0, 0), (1, 2)))
+    pbw = len(module_for(HighestWeight(0, 0)).weight_space_basis((1, 2)))
     oracle = dim_oracle((1, 2))
     check("3 stated value at alpha+delta1", ok and pbw == stated and oracle == stated,
           f"stated {stated}, enumeration {pbw}, partition count {oracle}")
@@ -108,7 +108,7 @@ def test_c04_canonical_singular_vectors(n1, k1):
                      ((n0 + 1, 0), ModuleVector.monomial(((e(-1, 0), n0 + 1),)))]:
         cert = find_singular(hw, eta)
         ok = ok and vec in cert.kernel and cert.verified()
-        for g in raising_generators():
+        for g in RAISING:
             ok = ok and eng.act(g, vec).is_zero()
     check(f"4 singular vectors for (n1,k1)=({n1},{k1})", ok)
 
@@ -190,7 +190,8 @@ def test_c09_root_partition_box_ten():
 
 
 def test_c10_dot_action_embedding_chain():
-    report = scan_vs_dot_orbit(HighestWeight(1, 2), 4)
+    hw = HighestWeight(1, 2)
+    report = orbit_report(hw, 4, scan_weights(hw, 4))
     found = dict(report.singular)
     # r1.lam drops 2*alpha1, r0.lam drops 2*alpha0
     ok = found.get((0, 2), 0) > 0 and found.get((2, 0), 0) > 0

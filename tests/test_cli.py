@@ -216,7 +216,13 @@ def test_invalid_inputs_exit_two():
     code, _, err = invoke("demos", "--weight", W00)
     assert code == 2 and "k1" in err
     code, _, err = invoke("reflect", "--weight", W11, "--beta", "0,1,0")
-    assert code == 2 and "real" in err
+    assert code == 2 and "real" in err and "beta:" in err
+    code, _, err = invoke("reflect", "--weight", W11, "--word", "r2")
+    assert code == 2 and "word:" in err
+    for field, value in [("nmax", "0"), ("nmax", "-3"), ("size", "0")]:
+        code, out, err = invoke("demos", "--weight", W11, f"--{field}", value)
+        assert code == 2 and out == ""
+        assert f"{field}: must be >= 1, got {value}" in err
 
 
 @pytest.mark.parametrize("command", [("singular", "--depth", "2"),
@@ -226,7 +232,7 @@ def test_invalid_inputs_exit_two():
 def test_jobs_below_one_exit_two(command, jobs, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
-    monkeypatch.setattr("toroidal_sl2.cli.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     code, out, err = invoke(command[0], "--weight", W11, *command[1:], "--jobs", jobs)
     assert code == 2 and out == ""
     assert "jobs" in err
@@ -256,7 +262,7 @@ class RecordingPool:
                                                  (4, "3", 3), (None, "2", None)])
 def test_jobs_capped_at_cpu_count(command, cpus, jobs, pool_size, monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr("toroidal_sl2.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("toroidal_sl2.cli.os.cpu_count", lambda: cpus)
     _, serial, _ = invoke(command[0], "--weight", W11, *command[1:])
     code, out, _ = invoke(command[0], "--weight", W11, *command[1:], "--jobs", jobs)
@@ -331,6 +337,17 @@ def test_console_entry_point():
     doc = json.loads(proc.stdout)
     assert doc["result"]["class"] == "imaginary"
     assert doc["result"]["positive"] is True
+
+
+def test_one_job_never_imports_the_process_pool():
+    script = ("import sys\nfrom toroidal_sl2 import cli\n"
+              "assert cli.run(sys.argv[1:]) == 0\n"
+              "assert 'concurrent.futures.process' not in sys.modules\n")
+    for argv in (("singular", "--weight", W11, "--depth", "2"),
+                 ("quotient-char", "--weight", W11, "--depth", "2", "--jobs", "1")):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 # -- argv fuzz: every input exits 0 or 2, and a report is valid and stable ----

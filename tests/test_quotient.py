@@ -226,6 +226,12 @@ class TestNonintegrability:
         with pytest.raises(ValueError):
             demo_nonintegrability(HighestWeight(0, 0), 3)
 
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_rejects_an_empty_ladder(self, n_max):
+        # no identity would be checked, yet the transcript would hold
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            demo_nonintegrability(HighestWeight(1, 1), n_max)
+
 
 class TestInfiniteDim:
     def test_diagonal_and_rank(self):

@@ -5,8 +5,8 @@ import time
 
 from toroidal_sl2 import (ALPHA, HighestWeight, RHO, RootVector, Weight,
                           coroot, dot_action, find_singular, is_positive,
-                          is_reducible, kk_pairs, maximal_submodule_generators,
-                          q1_coords, scan_weights, sufficient_kmax)
+                          is_reducible, kk_pairs, q1_coords, scan_weights,
+                          sufficient_kmax)
 
 
 def hw_of(n1, k1):
@@ -129,12 +129,16 @@ def test_scan_bound_is_recorded_and_sufficient():
     assert kk_pairs(hw, report.scan_bound + 50) == []
 
 
+def generator_weights(hw):
+    return [p.quotient_weight for p in is_reducible(hw).witnesses]
+
+
 def test_maximal_submodule_generators():
-    gens = maximal_submodule_generators(hw_of(0, 0))
+    gens = generator_weights(hw_of(0, 0))
     lam = hw_of(0, 0).weight()
     assert lam - Weight.from_root(ALPHA) in gens
-    assert maximal_submodule_generators(HighestWeight(Fraction(1, 2), Fraction(1, 3))) == []
-    gens11 = maximal_submodule_generators(hw_of(1, 1))
+    assert generator_weights(HighestWeight(Fraction(1, 2), Fraction(1, 3))) == []
+    gens11 = generator_weights(hw_of(1, 1))
     lam11 = hw_of(1, 1).weight()
     assert lam11 - 2 * Weight.from_root(ALPHA) in gens11
     assert lam11 - Weight.from_root(RootVector(-1, 1, 0)) in gens11

@@ -5,17 +5,16 @@ from fractions import Fraction
 import pytest
 
 from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key, e, f,
-                          find_singular, h, module_for, orbit_report, raising_generators,
-                          scan_vs_dot_orbit, scan_weights)
+                          find_singular, h, module_for, orbit_report, scan_weights)
 from toroidal_sl2.roots import dot_action, q1_coords, weight_as_root
-from toroidal_sl2.singular import dot_orbit_drops, dot_orbit_etas
+from toroidal_sl2.singular import RAISING, dot_orbit_drops, dot_orbit_etas
 from toroidal_sl2.verma import _ENGINES, _MAX_ENGINES
 
 from test_verma import alt_key
 
 
 def test_raising_generators():
-    assert raising_generators() == (e(0, 0), f(1, 0))
+    assert RAISING == (e(0, 0), f(1, 0))
 
 
 def test_positive_delta2_generators_kill_level_zero():
@@ -61,7 +60,7 @@ def test_kernels_reverify_through_act():
                 cert = find_singular(hw, (a0, total - a0))
                 assert cert.verified()
                 for vec in cert.kernel:
-                    for g in raising_generators():
+                    for g in RAISING:
                         assert eng.act(g, vec).is_zero()
 
 
@@ -76,7 +75,8 @@ def test_canonical_singular_vectors_detected(n1, k1):
 
 
 def test_scan_vs_orbit_level_one():
-    report = scan_vs_dot_orbit(HighestWeight(1, 1), 4)
+    hw = HighestWeight(1, 1)
+    report = orbit_report(hw, 4, scan_weights(hw, 4))
     assert dict(report.singular) == {(0, 2): 1, (1, 0): 1}
     assert report.orbit == ((0, 2), (1, 0))
     assert report.orbit_covered
@@ -84,14 +84,16 @@ def test_scan_vs_orbit_level_one():
 
 
 def test_scan_vs_orbit_level_zero():
-    report = scan_vs_dot_orbit(HighestWeight(0, 0), 3)
+    hw = HighestWeight(0, 0)
+    report = orbit_report(hw, 3, scan_weights(hw, 3))
     assert dict(report.singular) == {(0, 1): 1, (1, 0): 1}
     assert report.orbit == ((0, 1), (1, 0))
     assert report.orbit_covered and report.extras == ()
 
 
 def test_scan_vs_orbit_depth_eight_matches_exactly():
-    report = scan_vs_dot_orbit(HighestWeight(1, 1), 8)
+    hw = HighestWeight(1, 1)
+    report = orbit_report(hw, 8, scan_weights(hw, 8))
     assert dict(report.singular) == {(0, 2): 1, (1, 0): 1, (1, 4): 1, (5, 2): 1}
     assert report.orbit_covered and report.extras == ()
 

@@ -13,7 +13,6 @@ denominator; a bare integer stands for denominator 1).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -67,6 +66,7 @@ def _emit_json(doc: dict, out) -> None:
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence], out) -> None:
+    import csv  # JSON runs never pay for it
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

@@ -18,9 +18,10 @@ truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import e, f, h
@@ -31,20 +32,18 @@ from .verma import (HighestWeight, ModuleVector, PBWMonomial, dim_oracle,
                     format_monomial, module_for)
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(namedtuple("QuotientSpace", "eta ambient_dim submodule_dim quotient_dim")):
     """Dimensions at one weight: ambient, submodule part, and quotient."""
 
-    eta: tuple[int, int]
-    ambient_dim: int
-    submodule_dim: int
-    quotient_dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.quotient_dim == self.ambient_dim - self.submodule_dim >= 0:
+    def __new__(cls, eta: tuple[int, int], ambient_dim: int, submodule_dim: int,
+                quotient_dim: int) -> "QuotientSpace":
+        if not quotient_dim == ambient_dim - submodule_dim >= 0:
             raise AssertionError(
-                f"quotient dimension {self.quotient_dim} at eta {self.eta} is not "
-                f"ambient {self.ambient_dim} - submodule {self.submodule_dim} >= 0")
+                f"quotient dimension {quotient_dim} at eta {eta} is not "
+                f"ambient {ambient_dim} - submodule {submodule_dim} >= 0")
+        return tuple.__new__(cls, (eta, ambient_dim, submodule_dim, quotient_dim))
 
 
 def _require_dominant(hw: HighestWeight) -> tuple[int, int]:
@@ -166,8 +165,7 @@ def quotient_singular_dim(hw: HighestWeight, eta: tuple[int, int]) -> int:
 # -- symbolic demonstrations at delta2-level -1 -----------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     description: str
     lhs: str
     rhs: str
@@ -178,8 +176,7 @@ class IdentityCheck:
                 "rhs": self.rhs, "holds": self.holds}
 
 
-@dataclass(frozen=True)
-class NonintegrabilityTranscript:
+class NonintegrabilityTranscript(NamedTuple):
     """Machine-checked evidence that e(0,-1) is not locally nilpotent."""
 
     n1: str
@@ -236,8 +233,7 @@ def demo_nonintegrability(hw: HighestWeight, n_max: int = 6) -> Nonintegrability
     return NonintegrabilityTranscript(str(hw.n1), str(hw.k1), tuple(checks), conclusion)
 
 
-@dataclass(frozen=True)
-class InfiniteDimReport:
+class InfiniteDimReport(NamedTuple):
     """Rank certificate for the family h(-m,-1) h(m,-1) v, m = 1..size."""
 
     size: int

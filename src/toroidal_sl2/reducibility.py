@@ -35,17 +35,15 @@ So the work grows with the number of witnesses, not with kmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .roots import RootVector, Weight
 from .verma import HighestWeight
 
 
-@dataclass(frozen=True)
-class ResonancePair:
+class ResonancePair(NamedTuple):
     """A witness (beta, l) with (lam + rho)(beta_check) = l, l a positive integer."""
 
     beta: RootVector
@@ -60,8 +58,7 @@ class ResonancePair:
         }
 
 
-@dataclass(frozen=True)
-class ReducibilityReport:
+class ReducibilityReport(NamedTuple):
     verdict: bool
     witnesses: tuple[ResonancePair, ...]
     scan_bound: int

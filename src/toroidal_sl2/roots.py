@@ -21,9 +21,8 @@ computed here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction, str]
 
@@ -45,9 +44,12 @@ def frac(x: Rational) -> Fraction:
     raise TypeError(f"not a rational: {x!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class RootVector:
-    """Integer vector a*alpha + n1*delta1 + n2*delta2."""
+class RootVector(NamedTuple):
+    """Integer vector a*alpha + n1*delta1 + n2*delta2.
+
+    A tuple, so it hashes and compares in C; ``k * r`` scales it and
+    ``r * k`` raises, as a tuple's repetition would be no scaling.
+    """
 
     a: int
     n1: int
@@ -64,6 +66,9 @@ class RootVector:
 
     def __rmul__(self, k: int) -> "RootVector":
         return RootVector(k * self.a, k * self.n1, k * self.n2)
+
+    def __mul__(self, k):
+        return NotImplemented
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.n1 == 0 and self.n2 == 0
@@ -133,8 +138,7 @@ def root_from_q1(a0: int, a1: int) -> RootVector:
     return RootVector(a1 - a0, a0, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class CartanElement:
+class CartanElement(NamedTuple):
     """Coordinates of a Cartan element on (alpha_check, c1, c2, d1, d2)."""
 
     h: Fraction
@@ -149,9 +153,11 @@ class CartanElement:
         return CartanElement(frac(h), frac(c1), frac(c2), frac(d1), frac(d2))
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
-    """Functional on the Cartan subalgebra, by values on (alpha_check, c1, c2, d1, d2)."""
+class Weight(NamedTuple):
+    """Functional on the Cartan subalgebra, by values on (alpha_check, c1, c2, d1, d2).
+
+    Like ``RootVector``, ``k * w`` scales it and ``w * k`` raises.
+    """
 
     h: Fraction
     c1: Fraction
@@ -180,6 +186,9 @@ class Weight:
     def __rmul__(self, k: Rational) -> "Weight":
         k = frac(k)
         return Weight(k * self.h, k * self.c1, k * self.c2, k * self.d1, k * self.d2)
+
+    def __mul__(self, k):
+        return NotImplemented
 
     def __neg__(self) -> "Weight":
         return -1 * self

@@ -23,9 +23,8 @@ vector has primitive integer coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .algebra import BasisElement, basis_sort_key, e, f
@@ -39,8 +38,7 @@ RAISING: tuple[BasisElement, BasisElement] = (e(0, 0), f(1, 0))
 _RAISING_DROP = {e(0, 0): (0, 1), f(1, 0): (1, 0)}
 
 
-@dataclass(frozen=True)
-class SingularCertificate:
+class SingularCertificate(NamedTuple):
     """Joint kernel of the raising actions on one weight space."""
 
     eta: tuple[int, int]
@@ -162,8 +160,7 @@ def _drop_coords(drop: Weight) -> tuple[int, int]:
                              "integral combination of alpha0 and alpha1") from None
 
 
-@dataclass(frozen=True)
-class OrbitScanReport:
+class OrbitScanReport(NamedTuple):
     """Scan of singular weights versus the shifted Weyl orbit prediction.
 
     The orbit fields are None when lam is not dominant integral.

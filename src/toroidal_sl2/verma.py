@@ -36,7 +36,7 @@ keeps only the newest engines.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
@@ -52,24 +52,23 @@ SortKey = Callable[[BasisElement], tuple]
 VACUUM: PBWMonomial = ()
 
 
-@dataclass(frozen=True, slots=True)
-class HighestWeight:
+class HighestWeight(namedtuple("HighestWeight", "n1 k1 d1 d2")):
     """Highest weight data: n1 = lam(alpha_check), k1 = lam(c1) >= 0.
 
     lam(c2) is identically 0 and the derived value n0 = k1 - n1 equals
     lam(alpha0_check).  The d-values only shift weights and default to 0.
+    Every field is a Fraction.  A tuple, so the engine registry and the
+    memos keyed on it hash it in C.
     """
 
-    n1: Fraction
-    k1: Fraction
-    d1: Fraction = Fraction(0)
-    d2: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("n1", "k1", "d1", "d2"):
-            object.__setattr__(self, name, frac(getattr(self, name)))
+    def __new__(cls, n1: Rational, k1: Rational, d1: Rational = 0,
+                d2: Rational = 0) -> "HighestWeight":
+        self = tuple.__new__(cls, (frac(n1), frac(k1), frac(d1), frac(d2)))
         if self.k1 < 0:
             raise ValueError(f"k1 must be >= 0 (got {self.k1}); c2 always acts by 0")
+        return self
 
     @property
     def n0(self) -> Fraction:
@@ -246,7 +245,8 @@ class VermaModule:
         self.key = sort_key
         # the Cartan eigenvalues on v by kind, ints where integral
         self._lam = {kind: val.numerator if val.denominator == 1 else val
-                     for kind, val in zip(("h", "c1", "c2", "d1", "d2"), astuple(hw.weight()))}
+                     for kind, val in (("h", hw.n1), ("c1", hw.k1), ("c2", Fraction(0)),
+                                       ("d1", hw.d1), ("d2", hw.d2))}
         self._cache: dict[tuple[BasisElement, PBWMonomial], dict[PBWMonomial, Rational]] = {}
         self._negative = _NEGATIVE_MEMOS.setdefault(sort_key, {})
         self._words: dict[tuple[tuple[BasisElement, int], ...], ModuleVector] = {}

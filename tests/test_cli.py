@@ -340,14 +340,26 @@ def test_console_entry_point():
 
 
 def test_one_job_never_imports_the_process_pool():
+    # nor csv, which only --format csv uses
     script = ("import sys\nfrom toroidal_sl2 import cli\n"
               "assert cli.run(sys.argv[1:]) == 0\n"
-              "assert 'concurrent.futures.process' not in sys.modules\n")
+              "assert 'concurrent.futures.process' not in sys.modules\n"
+              "assert 'csv' not in sys.modules\n")
     for argv in (("singular", "--weight", W11, "--depth", "2"),
                  ("quotient-char", "--weight", W11, "--depth", "2", "--jobs", "1")):
         proc = subprocess.run([sys.executable, "-c", script, *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_import_never_loads_dataclasses_or_inspect():
+    # the records are tuples or plain classes: dataclasses and the inspect
+    # it pulls in would cost every process about 14 ms to import
+    script = ("import sys\nimport toroidal_sl2\nfrom toroidal_sl2 import cli\n"
+              "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+              "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- argv fuzz: every input exits 0 or 2, and a report is valid and stable ----

@@ -53,6 +53,13 @@ class TestWMultiplicity:
         assert (q.ambient_dim, q.submodule_dim, q.quotient_dim) == (2, 1, 1)
         assert lchar_oracle(hw, (1, 1)) == 1
 
+    @pytest.mark.parametrize("dims", [(1, 0, 0), (1, 2, -1), (0, 0, 1)])
+    def test_inconsistent_dimensions_raise(self, dims):
+        with pytest.raises(AssertionError, match="quotient dimension"):
+            quotient.QuotientSpace((0, 0), *dims)
+        assert quotient.QuotientSpace(eta=(0, 0), ambient_dim=2, submodule_dim=1,
+                                      quotient_dim=1).quotient_dim == 1
+
 
 class TestLCharOracle:
     def test_top(self):

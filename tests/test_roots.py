@@ -40,6 +40,23 @@ def test_partition_box_10():
         assert is_positive(r) != is_positive(-r)
 
 
+def test_records_scale_from_the_left_only():
+    assert 2 * RootVector(1, 0, 0) == RootVector(2, 0, 0)
+    assert 2 * Weight.make(1, 2) == Weight.make(2, 4)
+    with pytest.raises(TypeError):
+        RootVector(1, 0, 0) * 2
+    with pytest.raises(TypeError):
+        Weight.make(1, 2) * 2
+    with pytest.raises(AttributeError):
+        ALPHA.a = 2
+
+
+def test_weight_repr_names_its_fields():
+    assert repr(Weight.make(1, 2)) == ("Weight(h=Fraction(1, 1), c1=Fraction(2, 1), "
+                                       "c2=Fraction(0, 1), d1=Fraction(0, 1), d2=Fraction(0, 1))")
+    assert repr(RootVector(1, -2, 0)) == "RootVector(1, -2, 0)"
+
+
 def test_coroot():
     assert coroot(ALPHA0) == CartanElement.make(-1, 1, 0, 0, 0)
     assert coroot(DELTA2 - ALPHA) == CartanElement.make(-1, 0, 1, 0, 0)

@@ -44,6 +44,23 @@ class TestHighestWeight:
         with pytest.raises(ValueError, match="c2"):
             HighestWeight.from_weight(Weight.make(0, 1, 1, 0, 0))
 
+    def test_coerced_fields_make_equal_keys(self):
+        a, b = HighestWeight(1, 2), HighestWeight("1", Fraction(2))
+        assert a == b and hash(a) == hash(b)
+        assert module_for(a) is module_for(b)
+        assert all(type(x) is Fraction for x in (a.n1, a.k1, a.d1, a.d2))
+        assert HighestWeight(k1=2, n1=1, d2="1/2").d2 == Fraction(1, 2)
+
+    def test_immutable(self):
+        hw = HighestWeight(1, 2)
+        with pytest.raises(AttributeError):
+            hw.n1 = Fraction(3)
+        assert hw == HighestWeight(1, 2)
+
+    def test_repr_names_its_fields(self):
+        assert repr(HighestWeight(1, 2)) == ("HighestWeight(n1=Fraction(1, 1), k1=Fraction(2, 1), "
+                                             "d1=Fraction(0, 1), d2=Fraction(0, 1))")
+
 
 class TestAct:
     def test_ef_on_vacuum(self):

@@ -5,6 +5,8 @@ table commands with ``--format csv``) on standard output and a one-line
 human summary on standard error.  Reports are byte-stable for identical
 inputs: they echo the parsed input, pin the library version, and contain
 no timestamps.  Exit codes: 0 success, 2 invalid input, 1 internal error.
+The runners only compute; ``run`` writes the report once a runner has
+returned, so on exit 1 or 2 standard output stays empty.
 
 Rationals serialize as strings ``p/q`` (lowest terms, positive
 denominator; a bare integer stands for denominator 1).
@@ -25,7 +27,7 @@ from .quotient import (demo_infinite_dim, demo_nonintegrability, lchar_oracle,
 from .reducibility import kk_pairs, sufficient_kmax
 from .roots import (RootVector, Weight, classify, dot_action, is_positive,
                     reflect, roots_in_box, NOT_ROOT)
-from .singular import SingularCertificate, find_singular, orbit_report, scan_drops
+from .singular import find_singular, orbit_report, scan_drops
 from .verma import HighestWeight, dim_oracle, module_for
 
 
@@ -56,26 +58,28 @@ def _parse_ints(text: str, what: str, count: int, shape: str) -> tuple[int, ...]
         raise CliInputError(f"{what}: expected integers, got {text!r}") from None
 
 
-def _envelope(command: str, inputs: dict, result: dict) -> dict:
-    return {"command": command, "version": __version__, "input": inputs, "result": result}
+def _at_least(field: str, value: int, low: int) -> None:
+    if value < low:
+        raise CliInputError(f"{field}: must be >= {low}, got {value}")
 
 
-def _emit_json(doc: dict, out) -> None:
-    json.dump(doc, out, indent=2)
-    out.write("\n")
-
-
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence], out) -> None:
-    import csv  # JSON runs never pay for it
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):  # eta as "a0,a1"
+        return ",".join(map(str, value))
+    return value
 
 
 # -- per-command runners ------------------------------------------------------
+#
+# Each runner validates its arguments, calls the library and returns
+# (input echo, result, one-line summary).
+
+Report = tuple[dict, dict, str]
 
 
-def _run_bracket(args, out, err) -> int:
+def _run_bracket(args) -> Report:
     try:
         a = parse_element(args.a)
         b = parse_element(args.b)
@@ -84,38 +88,30 @@ def _run_bracket(args, out, err) -> int:
     result = bracket(a, b)
     terms = [{"basis": repr(bx), "coeff": str(c)}
              for bx, c in sorted(result.terms.items(), key=lambda t: basis_sort_key(t[0]))]
-    doc = _envelope("bracket", {"a": args.a, "b": args.b}, {"terms": terms})
-    _emit_json(doc, out)
-    print(f"[{args.a}, {args.b}] = {format_element(result)}", file=err)
-    return 0
+    return ({"a": args.a, "b": args.b}, {"terms": terms},
+            f"[{args.a}, {args.b}] = {format_element(result)}")
 
 
-def _run_roots(args, out, err) -> int:
+def _run_roots(args) -> Report:
     if args.root is not None:
         r = RootVector(*_parse_ints(args.root, "root", 3, "'a,n1,n2'"))
         cls = classify(r)
         pos = is_positive(r) if cls != NOT_ROOT else None
-        doc = _envelope("roots", {"root": r.to_json()},
-                        {"class": cls, "positive": pos})
-        _emit_json(doc, out)
-        print(f"{r!r}: {cls}" + (f", positive={pos}" if pos is not None else ""), file=err)
-        return 0
-    if args.box < 0:
-        raise CliInputError(f"box: must be >= 0, got {args.box}")
+        return ({"root": r.to_json()}, {"class": cls, "positive": pos},
+                f"{r!r}: {cls}" + (f", positive={pos}" if pos is not None else ""))
+    _at_least("box", args.box, 0)
     listing = []
     ok = True
     for r in roots_in_box(args.box):
         pos = is_positive(r)
         ok = ok and (pos != is_positive(-r))
         listing.append({**r.to_json(), "class": classify(r), "positive": pos})
-    doc = _envelope("roots", {"box": args.box},
-                    {"count": len(listing), "partition_ok": ok, "roots": listing})
-    _emit_json(doc, out)
-    print(f"{len(listing)} roots in box {args.box}, partition_ok={ok}", file=err)
-    return 0
+    return ({"box": args.box},
+            {"count": len(listing), "partition_ok": ok, "roots": listing},
+            f"{len(listing)} roots in box {args.box}, partition_ok={ok}")
 
 
-def _run_reflect(args, out, err) -> int:
+def _run_reflect(args) -> Report:
     w, _ = _parse_weight(args.weight)
     if args.beta is not None:
         beta = RootVector(*_parse_ints(args.beta, "beta", 3, "'a,n1,n2'"))
@@ -131,41 +127,24 @@ def _run_reflect(args, out, err) -> int:
         except ValueError as exc:
             raise CliInputError(f"word: {exc}") from None
         inputs = {"weight": w.to_json(), "word": word}
-    doc = _envelope("reflect", inputs, {"weight": image.to_json()})
-    _emit_json(doc, out)
-    print(f"image: {image.to_json()}", file=err)
-    return 0
+    return inputs, {"weight": image.to_json()}, f"image: {image.to_json()}"
 
 
-def _run_dims(args, out, err) -> int:
-    if args.depth < 0:
-        raise CliInputError(f"depth: must be >= 0, got {args.depth}")
+def _run_dims(args) -> Report:
+    _at_least("depth", args.depth, 0)
     engine = module_for(HighestWeight(0, 0))
     rows = []
     for eta in scan_drops(0, args.depth):
         dim = dim_oracle(eta)
         pbw = len(engine.weight_space_basis(eta))
         rows.append({"eta": list(eta), "dim": dim, "pbw": pbw, "match": dim == pbw})
-    if args.format == "csv":
-        _emit_csv(["eta", "dim", "pbw", "match"],
-                  [[f"{r['eta'][0]},{r['eta'][1]}", r["dim"], r["pbw"],
-                    str(r["match"]).lower()] for r in rows], out)
-    else:
-        _emit_json(_envelope("dims", {"depth": args.depth}, {"rows": rows}), out)
-    print(f"{len(rows)} weight spaces up to depth {args.depth}; "
-          f"all_match={all(r['match'] for r in rows)}", file=err)
-    return 0
-
-
-def _checked(cert: SingularCertificate) -> SingularCertificate:
-    if not cert.verified():
-        raise AssertionError(f"a kernel vector at eta {cert.eta} is not "
-                             "annihilated by the raising operators")
-    return cert
+    return ({"depth": args.depth}, {"rows": rows},
+            f"{len(rows)} weight spaces up to depth {args.depth}; "
+            f"all_match={all(r['match'] for r in rows)}")
 
 
 def _kernel_dim(hw: HighestWeight, eta: tuple[int, int]) -> int:
-    return _checked(find_singular(hw, eta)).kernel_dim
+    return find_singular(hw, eta).kernel_dim
 
 
 def _quotient_row(hw: HighestWeight, eta: tuple[int, int]) -> dict:
@@ -189,40 +168,30 @@ def _map_etas(job: Callable, hw: HighestWeight, etas: list[tuple[int, int]],
         return list(pool.map(job, [hw] * len(etas), etas))
 
 
-def _run_singular(args, out, err) -> int:
+def _run_singular(args) -> Report:
     w, hw = _parse_weight(args.weight)
-    if args.jobs < 1:
-        raise CliInputError(f"jobs: must be >= 1, got {args.jobs}")
+    _at_least("jobs", args.jobs, 1)
     if args.eta is not None:
         eta = _parse_ints(args.eta, "eta", 2, "two comma-separated integers")
         if eta[0] < 0 or eta[1] < 0:
             raise CliInputError(f"eta: coordinates must be >= 0, got {eta}")
-        cert = _checked(find_singular(hw, eta))
-        doc = _envelope("singular", {"weight": w.to_json(), "eta": list(eta)},
-                        cert.to_json())
-        _emit_json(doc, out)
-        print(f"eta={eta}: kernel dimension {cert.kernel_dim} "
-              f"in a {cert.basis_dim}-dimensional weight space", file=err)
-        return 0
-
-    if args.depth is None:
-        args.depth = 8
-    if args.depth < 1:
-        raise CliInputError(f"depth: must be >= 1, got {args.depth}")
+        cert = find_singular(hw, eta)
+        return ({"weight": w.to_json(), "eta": list(eta)}, cert.to_json(),
+                f"eta={eta}: kernel dimension {cert.kernel_dim} "
+                f"in a {cert.basis_dim}-dimensional weight space")
+    _at_least("depth", args.depth, 1)
     etas = scan_drops(1, args.depth)
     found = {eta: dim for eta, dim in zip(etas, _map_etas(_kernel_dim, hw, etas, args.jobs))
              if dim}
-    doc = _envelope("singular", {"weight": w.to_json(), "depth": args.depth},
-                    orbit_report(hw, args.depth, found).to_json())
-    _emit_json(doc, out)
-    print(f"depth {args.depth}: singular weights at {sorted(found)}", file=err)
-    return 0
+    return ({"weight": w.to_json(), "depth": args.depth},
+            orbit_report(hw, args.depth, found).to_json(),
+            f"depth {args.depth}: singular weights at {sorted(found)}")
 
 
-def _run_reducible(args, out, err) -> int:
+def _run_reducible(args) -> Report:
     w, hw = _parse_weight(args.weight)
-    if args.kmax is not None and args.kmax < 0:
-        raise CliInputError(f"kmax: must be >= 0, got {args.kmax}")
+    if args.kmax is not None:
+        _at_least("kmax", args.kmax, 0)
     bound = sufficient_kmax(hw) if args.kmax is None else args.kmax
     witnesses = kk_pairs(hw, bound)
     exhaustive = bound >= sufficient_kmax(hw)
@@ -230,54 +199,39 @@ def _run_reducible(args, out, err) -> int:
     verdict = bool(witnesses) if exhaustive else (bool(witnesses) or None)
     result = {"reducible": verdict, "witnesses": [p.to_json() for p in witnesses],
               "scan_bound": bound, "exhaustive": exhaustive}
-    doc = _envelope("reducible", {"weight": w.to_json(), "kmax": args.kmax}, result)
-    _emit_json(doc, out)
     shown = "unknown (bound not exhaustive)" if verdict is None else verdict
-    print(f"reducible: {shown} ({len(witnesses)} witnesses, bound {bound})", file=err)
-    return 0
+    return ({"weight": w.to_json(), "kmax": args.kmax}, result,
+            f"reducible: {shown} ({len(witnesses)} witnesses, bound {bound})")
 
 
-def _run_quotient_char(args, out, err) -> int:
+def _run_quotient_char(args) -> Report:
     w, hw = _parse_weight(args.weight)
     if not hw.is_dominant_integral():
-        raise CliInputError("weight field 'h': quotient-char requires n1 and "
+        field = "c1" if hw.n1.denominator == 1 and hw.n1 >= 0 else "h"
+        raise CliInputError(f"weight field '{field}': quotient-char requires n1 and "
                             f"k1 - n1 to be nonnegative integers (n1={hw.n1}, n0={hw.n0})")
-    if args.depth < 0:
-        raise CliInputError(f"depth: must be >= 0, got {args.depth}")
-    if args.jobs < 1:
-        raise CliInputError(f"jobs: must be >= 1, got {args.jobs}")
+    _at_least("depth", args.depth, 0)
+    _at_least("jobs", args.jobs, 1)
     rows = _map_etas(_quotient_row, hw, scan_drops(0, args.depth), args.jobs)
-    if args.format == "csv":
-        _emit_csv(["eta", "ambient", "submodule", "quotient", "l_oracle"],
-                  [[f"{r['eta'][0]},{r['eta'][1]}", r["ambient"], r["submodule"],
-                    r["quotient"], r["l_oracle"]] for r in rows], out)
-    else:
-        doc = _envelope("quotient-char",
-                        {"weight": w.to_json(), "depth": args.depth}, {"rows": rows})
-        _emit_json(doc, out)
     mism = sum(1 for r in rows if r["quotient"] != r["l_oracle"])
-    print(f"{len(rows)} weights up to depth {args.depth}; "
-          f"{mism} quotient/oracle mismatches", file=err)
-    return 0
+    return ({"weight": w.to_json(), "depth": args.depth}, {"rows": rows},
+            f"{len(rows)} weights up to depth {args.depth}; "
+            f"{mism} quotient/oracle mismatches")
 
 
-def _run_demos(args, out, err) -> int:
+def _run_demos(args) -> Report:
     w, hw = _parse_weight(args.weight)
     if hw.k1 <= 0:
         raise CliInputError(f"weight field 'c1': demos require k1 > 0, got {hw.k1}")
-    for field, value in (("nmax", args.nmax), ("size", args.size)):
-        if value < 1:
-            raise CliInputError(f"{field}: must be >= 1, got {value}")
+    _at_least("nmax", args.nmax, 1)
+    _at_least("size", args.size, 1)
     transcript = demo_nonintegrability(hw, args.nmax)
     report = demo_infinite_dim(hw, args.size)
     result = {"nonintegrability": transcript.to_json(),
               "infinite_dim": report.to_json()}
-    doc = _envelope("demos", {"weight": w.to_json(), "nmax": args.nmax,
-                              "size": args.size}, result)
-    _emit_json(doc, out)
-    print(f"nonintegrability checks hold: {transcript.all_hold()}; "
-          f"pairing rank {report.rank}/{report.size}", file=err)
-    return 0
+    return ({"weight": w.to_json(), "nmax": args.nmax, "size": args.size}, result,
+            f"nonintegrability checks hold: {transcript.all_hold()}; "
+            f"pairing rank {report.rank}/{report.size}")
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -311,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--eta", help="weight drop as 'a0,a1'")
-    grp.add_argument("--depth", type=int,
+    grp.add_argument("--depth", type=int, default=8,
                      help="scan all drops with a0+a1 <= DEPTH (default 8)")
     p.add_argument("--jobs", type=int, default=1)
 
@@ -347,16 +301,26 @@ _RUNNERS = {
 def run(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _RUNNERS[args.command](args, out, err)
+        inputs, result, summary = _RUNNERS[args.command](args)
     except CliInputError as exc:
         print(f"error: {exc}", file=err)
         return 2
     except AssertionError as exc:
         print(f"internal check failed: {exc}", file=err)
         return 1
+    if getattr(args, "format", "json") == "csv":
+        import csv  # JSON runs never pay for it
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(result["rows"][0])  # columns in row-key order
+        writer.writerows([_csv_cell(v) for v in row.values()] for row in result["rows"])
+    else:
+        json.dump({"command": args.command, "version": __version__,
+                   "input": inputs, "result": result}, out, indent=2)
+        out.write("\n")
+    print(summary, file=err)
+    return 0
 
 
 def main() -> None:

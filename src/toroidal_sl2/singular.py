@@ -92,7 +92,8 @@ def _raising_matrix(engine: VermaModule, g: BasisElement,
 
 def find_singular(hw: HighestWeight, eta: tuple[int, int],
                   sort_key: SortKey = basis_sort_key) -> SingularCertificate:
-    """All singular vectors of weight lam - eta, eta in the level-0 cone."""
+    """All singular vectors of weight lam - eta, eta in the level-0 cone;
+    AssertionError if one is not killed by both raising operators."""
     engine = module_for(hw, sort_key)
     basis = engine.weight_space_basis(eta)
     stacked: list[list[Fraction]] = []
@@ -105,7 +106,11 @@ def find_singular(hw: HighestWeight, eta: tuple[int, int],
         for g in RAISING:
             checks.append((repr(g), i, engine.act(g, vec).is_zero()))
     weight = hw.weight() - Weight.from_root(root_from_q1(*eta))
-    return SingularCertificate(eta, weight, len(basis), tuple(kernel), tuple(checks))
+    cert = SingularCertificate(eta, weight, len(basis), tuple(kernel), tuple(checks))
+    if not cert.verified():
+        raise AssertionError(f"a kernel vector at eta {eta} is not "
+                             "annihilated by the raising operators")
+    return cert
 
 
 def scan_drops(low: int, depth: int) -> list[tuple[int, int]]:

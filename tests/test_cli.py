@@ -177,15 +177,63 @@ GOLDEN_STDOUT = [
      "78bfb23dae400a8e57c21509b8b7b3b17fd7f2b070670f928479a08eef2e688e"),
     (("reducible", "--weight", WSLOW),
      "40c4343b2111ba3f7e8fde37d1704fb241360acdf94f5aad304b15153d7afaa9"),
+    # recorded before the runners stopped writing their own reports
+    (("roots", "--root", "1,-2,1"),
+     "34ab90bf2055ee488a154df16091a23b356e73f25f21d9516b1094df9dabb124"),
+    (("roots", "--root", "2,0,0"),
+     "b61574315943c92038154b1800eb2751e0dcb4bd87633da59a4bfc8abe122dc9"),
+    (("roots", "--box", "2"),
+     "811eeb9338c126a294e898dbeabf970c9f27ef1af56b98498e963f471d11c0c2"),
+    (("reflect", "--weight", W11, "--beta", "1,0,0"),
+     "092e38f737f1cdfcb0d5220b40a1f2c4aa85a3a39096607bc6336164f6ec7b31"),
+    (("reflect", "--weight", W11, "--word", "r1,r0"),
+     "c798b89d8cbb0dae894de91065408be8ac84026b01adab5e6ecc503368bd20db"),
+    (("reducible", "--weight", WGEN, "--kmax", "4"),
+     "5e6811cf6db7d0e74ce9fdd45785cff3cb1a7195cdcf2958eac19a203d739792"),
+    (("dims", "--depth", "4", "--format", "csv"),
+     "175a2df93a2562bee24281de0ec3d2636b27e6378736a045a87423f8fadcdc0b"),
+    (("singular", "--weight", W12),
+     "4738b70c2fe1b586214f683500ae3f277ea244aad8fa1b597ae3759c1f043b56"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
+# SHA-256 of the stderr summary of each GOLDEN_STDOUT invocation, in order,
+# recorded before the runners stopped writing their own reports.
+GOLDEN_STDERR = [
+    "5c51e4ec67d915641712883180a6952ffd25f7bbe18d91484b2531f2ac9e37ef",  # 00 singular
+    "ed197558d00979d8dd075db16ddbbc9b00429818e580b3d92f0899fdb5425393",  # 01 singular
+    "ed197558d00979d8dd075db16ddbbc9b00429818e580b3d92f0899fdb5425393",  # 02 singular
+    "585374ce28551d8f2d11d082fbb87c8aa8bea873090d9c797c7fafb0530b61be",  # 03 singular
+    "585374ce28551d8f2d11d082fbb87c8aa8bea873090d9c797c7fafb0530b61be",  # 04 singular
+    "1e8195fb4820fd0086577cbfcecc16f1b325a5d31760a4442de7f3f3962f80f1",  # 05 singular
+    "1e8195fb4820fd0086577cbfcecc16f1b325a5d31760a4442de7f3f3962f80f1",  # 06 singular
+    "86686d0595f4bc0ae1fe384e40d21ede92943c4b66f23da2f7ae57f1cb4225e0",  # 07 quotient-char
+    "86686d0595f4bc0ae1fe384e40d21ede92943c4b66f23da2f7ae57f1cb4225e0",  # 08 quotient-char
+    "20a8b8f8d2d10bfd1556aa9b3dfbae4fef385ff57a62ef1c339b7533c89835ec",  # 09 dims
+    "02ea45fd77509bba7130278669067624cafed5f7d2cd1aff9ec8b8cdd98131f3",  # 10 reducible
+    "264de842bdaa8f7266fa9362a8bb31faa56d2fddd1c5515e553fcbe984574953",  # 11 bracket
+    "18701d945be0f35972650e7dcf1c5d39e66a1809f82eb6ac8c4d90cbf4cdd93a",  # 12 demos
+    "1ee4955b3d5a03acce85c373fcc95e816f1a45d01597469e37af13df15a01349",  # 13 quotient-char
+    "739c95193de8df1b75a7e8d7d774a6f5b454e212b336e4a9f2e2ff38aa6fd6c7",  # 14 reducible
+    "315a6efd61e1f41b023f6ca078bb3cd32a63e31c16380c69643ebf78114b774b",  # 15 roots
+    "b364865de57f16e80444a623d839d88c14f79ddc06b1ab289556535b9c9aa15e",  # 16 roots
+    "8fb73628e3ff793a022b21f29ecf6edc9703be2e7ccd662c9f8e50d79b1d1e8f",  # 17 roots
+    "32975ae176b913659a082f2c6482412e24efd1f16cbaaa37b0d1cc28c7dfd53d",  # 18 reflect
+    "2d9e5ed30ecb083c36ec223c50005b3d4f645cd7ae2f20539871cb9ad92f8d67",  # 19 reflect
+    "9ac2b7daa09fbb89ab988c76616cf266ae9c90423e1e5626a6a7bfea39af0709",  # 20 reducible
+    "2f98fff50130a0669ff4f337c09a47771172cd372915a164e798475cc059f3f3",  # 21 dims
+    "ce881355b8cce0ee2e9cb004959446fba967dc7d7eb73471b02205eb966b498d",  # 22 singular
+]
+
+
+@pytest.mark.parametrize("argv,digest,summary",
+                         [(a, d, s) for (a, d), s in zip(GOLDEN_STDOUT, GOLDEN_STDERR, strict=True)],
                          ids=[f"{i:02d}-{a[0]}" for i, (a, _) in enumerate(GOLDEN_STDOUT)])
-def test_golden_stdout(argv, digest):
-    code, out, _ = invoke(*argv)
+def test_golden_stdout(argv, digest, summary):
+    code, out, err = invoke(*argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(err.encode()).hexdigest() == summary
 
 
 @pytest.mark.parametrize("weight,field", [
@@ -212,7 +260,11 @@ def test_invalid_inputs_exit_two():
     code, _, err = invoke("singular", "--weight", W11, "--eta", "0;2")
     assert code == 2 and "eta" in err
     code, _, err = invoke("quotient-char", "--weight", WGEN, "--depth", "2")
-    assert code == 2
+    assert code == 2 and "weight field 'h'" in err
+    # h = 1 is a nonnegative integer; c1 = 5/2 makes n0 = 3/2
+    code, out, err = invoke("quotient-char", "--weight",
+                            '{"h":"1","c1":"5/2","c2":"0","d1":"0","d2":"0"}')
+    assert (code, out) == (2, "") and "weight field 'c1'" in err
     code, _, err = invoke("demos", "--weight", W00)
     assert code == 2 and "k1" in err
     code, _, err = invoke("reflect", "--weight", W11, "--beta", "0,1,0")

@@ -1,4 +1,8 @@
-"""The package's public names."""
+"""The package's public names, and the ones the benchmark reaches."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import toroidal_sl2
 
@@ -9,3 +13,23 @@ def test_every_public_name_resolves_once():
     namespace = {}
     exec("from toroidal_sl2 import *", namespace)  # raises on a name that is missing
     assert set(names) <= set(namespace)
+
+
+def test_benchmark_hooks_resolve():
+    # bench/tracer.py wraps package names where their callers look them up,
+    # and bench/child.py reads every engine's memo of positive letters; a
+    # fresh process keeps the wrappers from leaking into other tests
+    root = Path(__file__).resolve().parents[1]
+    script = ("import sys\nsys.path[:0] = sys.argv[1:]\n"
+              "import toroidal_sl2, tracer\n"
+              "t = tracer.Tracer()\n"
+              "tracer.install(t, toroidal_sl2)\n"
+              "toroidal_sl2.singular.find_singular(toroidal_sl2.HighestWeight(1, 2), (2, 0))\n"
+              "engines = toroidal_sl2.verma._ENGINES.values()\n"
+              "assert sum(len(e._cache) for e in engines) > 0\n"
+              "layers = t.layers()\n"
+              "assert layers['singular.kernel_dim_sum'] == 1, layers\n"
+              "assert layers['verma.act_calls'] > 0 and layers['linalg.calls'] == 1, layers\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(root / "bench"), str(root / "src")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

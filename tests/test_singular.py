@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key, e, f,
-                          find_singular, h, module_for, orbit_report, scan_weights)
+from toroidal_sl2 import (HighestWeight, ModuleVector, SingularCertificate, basis_sort_key,
+                          e, f, find_singular, h, module_for, orbit_report, scan_weights)
 from toroidal_sl2.roots import dot_action, q1_coords, weight_as_root
 from toroidal_sl2.singular import RAISING, dot_orbit_drops, dot_orbit_etas
 from toroidal_sl2.verma import _ENGINES, _MAX_ENGINES
@@ -62,6 +62,13 @@ def test_kernels_reverify_through_act():
                 for vec in cert.kernel:
                     for g in RAISING:
                         assert eng.act(g, vec).is_zero()
+
+
+def test_unverified_certificate_raises(monkeypatch):
+    # a scan must not count kernel vectors that the raising operators do not kill
+    monkeypatch.setattr(SingularCertificate, "verified", lambda self: False)
+    with pytest.raises(AssertionError, match="is not annihilated by the raising operators"):
+        scan_weights(HighestWeight(1, 2), 2)
 
 
 @pytest.mark.parametrize("n1,k1", [(0, 0), (1, 1), (2, 3), (0, 2)])

@@ -324,6 +324,11 @@ def run(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
 
 
 def main() -> None:
+    # a reader that closes the pipe early (``| head``) ends the process
+    # quietly, as it ends cat; ``run`` itself never touches signals
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -19,23 +19,40 @@ Two reductions make the search finite and complete:
 Kernels are computed by exact sparse integer elimination on the matrices
 of the two raising actions restricted to one weight space, so every kernel
 vector has primitive integer coefficients.
+
+The raising matrices are straightened once per order, at weight zero.  As
+g kills v, g * x1...xk * v is the sum over i of x1...[g, xi]...xk * v.  Of
+the level-0 negative letters only two bracket into the Cartan part:
+
+    [e(0,0), f(0,0)] = h(0,0)          lam reads n1
+    [f(1,0), e(-1,0)] = -h(0,0) + c1   lam reads n0 = k1 - n1
+
+Every other bracket is a negative letter, and straightening negative
+letters never reads lam.  So R_g(lam) = R_g(0) + n * L_g with n = n1 for
+e(0,0) and n0 for f(1,0), where L_g maps a monomial holding that letter
+to the power a to a times the monomial with its exponent lowered by one:
+the affine analogue of e f^a v = a (n1 - a + 1) f^(a-1) v in sl2.  Each
+kernel vector is still checked with ``act`` at lam, which straightens
+from scratch, so every reported singular vector confirms the identity.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .algebra import BasisElement, basis_sort_key, e, f
-from .roots import Weight, dot_action, q1_coords, root_from_q1, weight_as_root
+from .algebra import BasisElement, add_scaled, basis_sort_key, e, f
+from .roots import Rational, Weight, dot_action, q1_coords, root_from_q1, weight_as_root
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, SortKey,
-                    VermaModule, format_monomial, module_for)
+                    VermaModule, format_monomial, module_for, weight_free_engine)
 
 RAISING: tuple[BasisElement, BasisElement] = (e(0, 0), f(1, 0))
 
 # weight drop of each raising generator in simple-root coordinates
 _RAISING_DROP = {e(0, 0): (0, 1), f(1, 0): (1, 0)}
+
+# the negative letter each raising generator brackets into the Cartan part
+_CARTAN_PARTNER = {e(0, 0): f(0, 0), f(1, 0): e(-1, 0)}
 
 
 class SingularCertificate(NamedTuple):
@@ -68,24 +85,45 @@ class SingularCertificate(NamedTuple):
         }
 
 
+def _weight_term(hw: HighestWeight, g: BasisElement) -> Rational:
+    """lam of [g, partner of g]: n1 for e(0,0), n0 for f(1,0)."""
+    n = hw.n1 if g == RAISING[0] else hw.n0
+    return n.numerator if n.denominator == 1 else n
+
+
+def _image(free: VermaModule, g: BasisElement, n: Rational,
+           m: PBWMonomial) -> dict[PBWMonomial, Rational]:
+    """act(g, m*v) at lam: the image at weight zero plus the lowering term."""
+    image = free.act(g, ModuleVector.monomial(m)).terms
+    if n:
+        partner = _CARTAN_PARTNER[g]
+        for k, (b, a) in enumerate(m):
+            if b == partner:
+                lowered = m[:k] + (((b, a - 1),) if a > 1 else ()) + m[k + 1:]
+                add_scaled(image, {lowered: a}, n)
+    return image
+
+
 def _raising_matrix(engine: VermaModule, g: BasisElement,
                     basis: Sequence[PBWMonomial],
-                    eta: tuple[int, int]) -> list[list[Fraction]]:
-    """Matrix of act(g, .) from the eta space to the eta - drop(g) space."""
+                    eta: tuple[int, int]) -> list[list[Rational]]:
+    """Matrix of act(g, .) from the eta space to the eta - drop(g) space,
+    straightened at weight zero (see the module docstring)."""
+    free = weight_free_engine(engine.key)
+    n = _weight_term(engine.hw, g)
     d0, d1 = _RAISING_DROP[g]
     t0, t1 = eta[0] - d0, eta[1] - d1
     if t0 < 0 or t1 < 0:
         for m in basis:
-            if not engine.act(g, ModuleVector.monomial(m)).is_zero():
+            if _image(free, g, n, m):
                 raise AssertionError(f"{g!r} does not kill {format_monomial(m)} at eta "
                                      f"{eta}, but its target weight space is empty")
         return []
-    target = engine.weight_space_basis((t0, t1))
+    target = free.weight_space_basis((t0, t1))
     index = {m: i for i, m in enumerate(target)}
     rows = [[0] * len(basis) for _ in target]
     for j, m in enumerate(basis):
-        image = engine.act(g, ModuleVector.monomial(m))
-        for m2, c in image.items():
+        for m2, c in _image(free, g, n, m).items():
             rows[index[m2]][j] = c
     return rows
 
@@ -96,7 +134,7 @@ def find_singular(hw: HighestWeight, eta: tuple[int, int],
     AssertionError if one is not killed by both raising operators."""
     engine = module_for(hw, sort_key)
     basis = engine.weight_space_basis(eta)
-    stacked: list[list[Fraction]] = []
+    stacked: list[list[Rational]] = []
     for g in RAISING:
         stacked.extend(_raising_matrix(engine, g, basis, eta))
     kernel = [ModuleVector({basis[j]: c for j, c in x.items()})

@@ -31,7 +31,9 @@ word is its leading letter applied to the memoized word one letter
 shorter, so words sharing a tail are straightened once); Cartan letters
 are read off the weight.  Negative letters and level-0 bases do not depend
 on the weight; one memo per order serves every engine, and ``module_for``
-keeps only the newest engines.
+keeps only the newest engines.  Raising matrices are straightened once
+per order on the engine at weight zero (``weight_free_engine``), which no
+sweep over weights evicts; ``singular`` adds the weight's one term.
 """
 
 from __future__ import annotations
@@ -225,9 +227,12 @@ def _level0_basis(sort_key: SortKey, a0: int, a1: int) -> list[PBWMonomial]:
     return out
 
 
-# negative-letter actions per PBW order (see VermaModule._act_basis)
+# negative-letter actions per PBW order (see VermaModule._act_basis), and
+# the engine at weight zero per order (see weight_free_engine); both live
+# as long as the process, outside the bounded engine registry
 _NEGATIVE_MEMOS: dict[SortKey, dict[tuple[BasisElement, PBWMonomial],
                                      dict[PBWMonomial, Rational]]] = {}
+_WEIGHT_FREE: dict[SortKey, "VermaModule"] = {}
 
 
 class VermaModule:
@@ -295,12 +300,12 @@ class VermaModule:
             raise ValueError(f"{format_monomial(m)} is not a canonical monomial")
         # g must move right: g * lead^a * rest = lead * (g * tail) + [g, lead] * tail
         tail = ((lead, a - 1),) + m[1:] if a > 1 else m[1:]
-        deg = monomial_degree(m)
         out: dict[PBWMonomial, Rational] = {}
         for m2, c2 in self._act_basis(g, tail).items():
             # termination: the degree-preserving part of g*tail is the
             # sorted multiset of its letters, so lead re-attaches directly.
-            if m2 and kl < self.key(m2[0][0]) and monomial_degree(m2) >= deg:
+            if (m2 and kl < self.key(m2[0][0])
+                    and monomial_degree(m2) >= monomial_degree(m)):
                 raise AssertionError(f"straightening: {lead!r} does not re-attach "
                                      f"to {format_monomial(m2)}")
             add_scaled(out, self._act_basis(lead, m2), c2)
@@ -377,4 +382,15 @@ def module_for(hw: HighestWeight, sort_key: SortKey = basis_sort_key) -> VermaMo
         if len(_ENGINES) >= _MAX_ENGINES:
             del _ENGINES[next(iter(_ENGINES))]
         eng = _ENGINES[key] = VermaModule(hw, sort_key)
+    return eng
+
+
+def weight_free_engine(sort_key: SortKey = basis_sort_key) -> VermaModule:
+    """The engine at weight 0 for one order, kept for the process lifetime.
+
+    ``singular`` straightens raising actions here once for every weight.
+    """
+    eng = _WEIGHT_FREE.get(sort_key)
+    if eng is None:
+        eng = _WEIGHT_FREE[sort_key] = VermaModule(HighestWeight(0, 0), sort_key)
     return eng

@@ -6,6 +6,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 from importlib import resources
@@ -24,6 +26,9 @@ WGEN = '{"h":"1/2","c1":"1/3","c2":"0","d1":"0","d2":"0"}'
 # the opposite of their report order
 W31 = '{"h":"3","c1":"1/2","c2":"0","d1":"0","d2":"0"}'
 W23 = '{"h":"2","c1":"3","c2":"0","d1":"0","d2":"0"}'
+# n0 = 2 and n0 = 1 with n1 not integral: kernels at (3,0) and (2,0)
+WHALF = '{"h":"-1/2","c1":"3/2","c2":"0","d1":"1/3","d2":"-2"}'
+WTHIRD = '{"h":"2/3","c1":"5/3","c2":"0","d1":"0","d2":"1/2"}'
 # its resonance scan bound is 1,022,119, with no integral term below it
 WSLOW = '{"h":"1/1009","c1":"1/1013","c2":"0","d1":"0","d2":"0"}'
 
@@ -194,6 +199,12 @@ GOLDEN_STDOUT = [
      "175a2df93a2562bee24281de0ec3d2636b27e6378736a045a87423f8fadcdc0b"),
     (("singular", "--weight", W12),
      "4738b70c2fe1b586214f683500ae3f277ea244aad8fa1b597ae3759c1f043b56"),
+    # recorded before raising matrices were built at weight zero: a kernel at
+    # non-integral n1, and nonzero d-values
+    (("singular", "--weight", WHALF, "--depth", "6"),
+     "da83f9744629f33fc49e5424cd4f1392f5f6dfafe2c7dc538eca020ff9ed6aad"),
+    (("singular", "--weight", WTHIRD, "--eta", "2,0"),
+     "ba774d665011bbd9c9f802295af2035474f746776fe28eaf18db9a91b55230c8"),
 ]
 
 
@@ -223,6 +234,8 @@ GOLDEN_STDERR = [
     "9ac2b7daa09fbb89ab988c76616cf266ae9c90423e1e5626a6a7bfea39af0709",  # 20 reducible
     "2f98fff50130a0669ff4f337c09a47771172cd372915a164e798475cc059f3f3",  # 21 dims
     "ce881355b8cce0ee2e9cb004959446fba967dc7d7eb73471b02205eb966b498d",  # 22 singular
+    "f923e9a07b0e1378e57bbcf79d30c45b5d14ffda4f85fa505de4b34c4bfb383c",  # 23 singular
+    "5c51e4ec67d915641712883180a6952ffd25f7bbe18d91484b2531f2ac9e37ef",  # 24 singular
 ]
 
 
@@ -343,6 +356,8 @@ BROKEN_CHECKS = {
                     ("reducible", "--weight", WGEN), "integrality period"),
     "empty-target": ("singular._RAISING_DROP[singular.e(0, 0)] = (0, 2)",
                      ("singular", "--weight", W11, "--eta", "0,1"), "target weight space is empty"),
+    "weight-term": ("singular._weight_term = lambda hw, g: 0",
+                    ("singular", "--weight", W12, "--eta", "0,1"), "annihilated"),
 }
 
 
@@ -389,6 +404,19 @@ def test_console_entry_point():
     doc = json.loads(proc.stdout)
     assert doc["result"]["class"] == "imaginary"
     assert doc["result"]["positive"] is True
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_quietly():
+    # the reader has closed the pipe before the report is written, as a
+    # ``| head -1`` that has its line does; the run ends as cat would
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as closed:
+        proc = subprocess.run([sys.executable, "-m", "toroidal_sl2", "dims", "--depth", "12"],
+                              stdout=closed, stderr=subprocess.PIPE, text=True)
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == -signal.SIGPIPE
 
 
 def test_one_job_never_imports_the_process_pool():

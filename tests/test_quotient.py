@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from toroidal_sl2 import (HighestWeight, ModuleVector, demo_infinite_dim,
-                          demo_nonintegrability, e, f, h, lchar_oracle, linalg,
+                          demo_nonintegrability, e, f, find_singular, h, lchar_oracle, linalg,
                           module_for, quotient, quotient_singular_dim,
                           submodule_dim_at, w_multiplicity)
 from toroidal_sl2.quotient import _generator_words, _submodule_rows
 from toroidal_sl2.singular import _RAISING_DROP, RAISING, _raising_matrix
-from toroidal_sl2.verma import VermaModule
+from toroidal_sl2.verma import VermaModule, weight_free_engine
 
 
 def etas_up_to(depth):
@@ -128,13 +128,16 @@ def test_submodule_rows_match_words_applied_to_generators():
 
 def test_integral_weight_straightens_over_the_integers():
     # the quotient applies only negative letters, which go to the memo shared
-    # by the order; a raising matrix fills the engine's own memo
+    # by the order; a raising matrix fills the weight-free engine's memo, and
+    # the check of a kernel vector fills the engine's own
     hw = HighestWeight(1, 2)
     engine = module_for(hw)
     for eta in etas_up_to(8):
         w_multiplicity(hw, eta)
-    _raising_matrix(engine, RAISING[0], engine.weight_space_basis((3, 3)), (3, 3))
-    for cache in (engine._cache, engine._negative):
+    matrix = _raising_matrix(engine, RAISING[0], engine.weight_space_basis((3, 3)), (3, 3))
+    assert all(type(c) is int for row in matrix for c in row)
+    assert find_singular(hw, (0, 2)).kernel_dim == 1
+    for cache in (engine._cache, engine._negative, weight_free_engine()._cache):
         assert cache
         assert all(type(c) is int for terms in cache.values() for c in terms.values())
 

@@ -1,14 +1,17 @@
 """Kernel scans for singular vectors and the shifted-orbit comparison."""
 
+import io
 from fractions import Fraction
 
 import pytest
 
 from toroidal_sl2 import (HighestWeight, ModuleVector, SingularCertificate, basis_sort_key,
-                          e, f, find_singular, h, module_for, orbit_report, scan_weights)
+                          cli, e, f, find_singular, h, module_for, orbit_report, scan_weights,
+                          singular)
 from toroidal_sl2.roots import dot_action, q1_coords, weight_as_root
-from toroidal_sl2.singular import RAISING, dot_orbit_drops, dot_orbit_etas
-from toroidal_sl2.verma import _ENGINES, _MAX_ENGINES
+from toroidal_sl2.singular import (_RAISING_DROP, RAISING, _raising_matrix, dot_orbit_drops,
+                                   dot_orbit_etas, scan_drops)
+from toroidal_sl2.verma import _ENGINES, _MAX_ENGINES, VermaModule, weight_free_engine
 
 from test_verma import alt_key
 
@@ -69,6 +72,58 @@ def test_unverified_certificate_raises(monkeypatch):
     monkeypatch.setattr(SingularCertificate, "verified", lambda self: False)
     with pytest.raises(AssertionError, match="is not annihilated by the raising operators"):
         scan_weights(HighestWeight(1, 2), 2)
+
+
+def _reference_raising_matrix(engine, g, basis, eta):
+    """act(g, .) straightened at the engine's weight, one monomial at a time."""
+    d0, d1 = _RAISING_DROP[g]
+    target_eta = (eta[0] - d0, eta[1] - d1)
+    images = [engine.act(g, ModuleVector.monomial(m)) for m in basis]
+    if min(target_eta) < 0:
+        assert all(image.is_zero() for image in images)
+        return []
+    return [[image.terms.get(m2, 0) for image in images]
+            for m2 in engine.weight_space_basis(target_eta)]
+
+
+def _random_rational(rng, low, high):
+    return Fraction(rng.randint(low, high), rng.randint(1, 4))
+
+
+def test_raising_matrix_matches_act_at_the_weight(rng):
+    # R_g(lam) = R_g(0) + n * L_g, against straightening at lam; fresh
+    # engines, so nothing comes from a memo filled at another weight
+    for _ in range(50):
+        hw = HighestWeight(_random_rational(rng, -9, 9), _random_rational(rng, 0, 9),
+                           _random_rational(rng, -5, 5), _random_rational(rng, -5, 5))
+        for key in (basis_sort_key, alt_key):
+            engine = VermaModule(hw, key)
+            for eta in scan_drops(0, 10):
+                basis = engine.weight_space_basis(eta)
+                for g in RAISING:
+                    assert (_raising_matrix(engine, g, basis, eta)
+                            == _reference_raising_matrix(engine, g, basis, eta)), (hw, eta, g)
+
+
+def test_lowering_term_reads_the_weight():
+    # e(0,0) f(0,0) v = n1 v and f(1,0) e(-1,0) v = n0 v
+    fv = ModuleVector.monomial(((f(0, 0), 1),))
+    ev = ModuleVector.monomial(((e(-1, 0), 1),))
+    assert find_singular(HighestWeight(0, 0), (0, 1)).kernel == (fv,)
+    assert find_singular(HighestWeight(1, 2), (0, 1)).kernel == ()
+    assert find_singular(HighestWeight(2, 2), (1, 0)).kernel == (ev,)
+    assert find_singular(HighestWeight(1, 2), (1, 0)).kernel == ()
+
+
+def test_certificate_catches_a_missing_weight_term(monkeypatch):
+    # the kernel check straightens at lam, so it does not rely on the identity
+    monkeypatch.setattr(singular, "_weight_term", lambda hw, g: 0)
+    with pytest.raises(AssertionError, match="is not annihilated by the raising operators"):
+        find_singular(HighestWeight(1, 2), (0, 1))
+    out, err = io.StringIO(), io.StringIO()
+    weight = '{"h":"1","c1":"2","c2":"0","d1":"0","d2":"0"}'
+    assert cli.run(["singular", "--weight", weight, "--eta", "0,1"], out, err) == 1
+    assert out.getvalue() == "" and "annihilated" in err.getvalue()
 
 
 @pytest.mark.parametrize("n1,k1", [(0, 0), (1, 1), (2, 3), (0, 2)])
@@ -170,17 +225,26 @@ def test_kernels_unaffected_by_d_values():
 
 
 def test_half_integral_weight_caches_no_integral_fractions():
+    # raising matrices are straightened once, at weight zero: over the integers
+    free = weight_free_engine()
+    hw = HighestWeight(Fraction(1, 2), Fraction(1, 4))
+    assert scan_weights(hw, 9) == {(6, 3): 1}
+    engine = module_for(hw)
+    assert free._cache
+    assert all(type(c) is int for terms in free._cache.values() for c in terms.values())
+    # negative letters never read lam: their shared memo is integral
+    assert engine._negative and engine._negative is free._negative
+    assert all(type(c) is int for terms in engine._negative.values() for c in terms.values())
+    # the certificate straightens at lam into the engine's own memo, where
     # half-integral Cartan values sum and multiply to integers along the way;
     # those are stored as int, the rest stay Fraction
-    hw = HighestWeight(Fraction(1, 2), 3)
-    scan_weights(hw, 8)
-    engine = module_for(hw)
     coeffs = [c for terms in engine._cache.values() for c in terms.values()]
     assert any(type(c) is Fraction for c in coeffs)
     assert not any(type(c) is Fraction and c.denominator == 1 for c in coeffs)
-    # negative letters never read lam: their shared memo is integral
-    assert engine._negative
-    assert all(type(c) is int for terms in engine._negative.values() for c in terms.values())
+    # a second weight at the same drops adds no entry to the weight-free memo
+    size = len(free._cache)
+    scan_weights(HighestWeight(Fraction(1, 2), 3), 9)
+    assert len(free._cache) == size
 
 
 def test_evicted_engine_is_rebuilt_with_the_same_reports():

@@ -204,26 +204,25 @@ def dim_oracle(eta: tuple[int, int]) -> int:
 def _level0_basis(sort_key: SortKey, a0: int, a1: int) -> list[PBWMonomial]:
     """Level-0 canonical monomials of drop (a0, a1), sorted by the order."""
     gens = _affine_negative_generators(a0, a1)
-    keys = {b: sort_key(b) for b, _ in gens}
-    gens.sort(key=lambda g: keys[g[0]], reverse=True)
+    gens.sort(key=lambda g: sort_key(g[0]), reverse=True)
     out: list[PBWMonomial] = []
 
-    def rec(idx: int, r0: int, r1: int, acc: list[tuple[BasisElement, int]]):
+    def rec(start: int, r0: int, r1: int, acc: list[tuple[BasisElement, int]]):
         if r0 == 0 and r1 == 0:
             out.append(tuple(acc))
             return
-        if idx == len(gens):
-            return
-        b, (c0, c1) = gens[idx]
-        top = min(r0 // c0 if c0 else r1, r1 // c1 if c1 else r0)
-        for exp in range(top, 0, -1):
-            acc.append((b, exp))
-            rec(idx + 1, r0 - exp * c0, r1 - exp * c1, acc)
-            acc.pop()
-        rec(idx + 1, r0, r1, acc)
+        for idx in range(start, len(gens)):
+            b, (c0, c1) = gens[idx]
+            if c0 > r0 or c1 > r1:
+                continue
+            top = min(r0 // c0 if c0 else r1, r1 // c1 if c1 else r0)
+            for exp in range(top, 0, -1):
+                acc.append((b, exp))
+                rec(idx + 1, r0 - exp * c0, r1 - exp * c1, acc)
+                acc.pop()
 
     rec(0, a0, a1, [])
-    out.sort(key=lambda m: tuple((keys[b], a) for b, a in m))
+    out.reverse()  # letters went from the largest key and exponent down
     return out
 
 

@@ -5,6 +5,7 @@ from math import gcd, lcm
 import random
 
 from toroidal_sl2 import HighestWeight, linalg, module_for
+from toroidal_sl2.quotient import _submodule_rows
 from toroidal_sl2.singular import RAISING, _raising_matrix
 
 
@@ -142,11 +143,33 @@ def low_rank_matrix(rng, nrows, ncols, rank, density):
     return rows + [list(rows[rng.randrange(nrows)]) for _ in range(nrows // 4)]
 
 
+def unit_heavy_matrix(rng, ncols):
+    """Rows with one entry on random columns, two of them in one column, a
+    chain of rows each left with one entry once the one before is peeled,
+    rows the peel empties, and a few denser rows."""
+    def row(support):
+        r = [Fraction(0)] * ncols
+        for j in support:
+            r[j] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+        return r
+
+    cols = rng.sample(range(ncols), ncols)
+    units, chain = cols[:ncols // 3], cols[ncols // 3:2 * ncols // 3]
+    out = [row([j]) for j in units] + [row([units[0]])]
+    for prev, j in zip(units[-1:] + chain, chain):
+        out.append(row([prev, j]))
+    out += [row(rng.sample(units, rng.randint(1, len(units)))) for _ in range(2)]
+    out += sparse_matrix(rng, rng.randint(0, 4), ncols, 0.3)
+    rng.shuffle(out)
+    return out
+
+
 def random_cases(rng):
     cases = [sparse_matrix(rng, rng.randint(1, 12), rng.randint(1, 12), 0.15)
              for _ in range(40)]
     cases += [low_rank_matrix(rng, rng.randint(10, 30), rng.randint(4, 12),
                               rng.randint(1, 4), 0.3) for _ in range(20)]
+    cases += [unit_heavy_matrix(rng, rng.randint(3, 14)) for _ in range(20)]
     return cases
 
 
@@ -199,14 +222,43 @@ def test_row_first_pivoting_bounds_row_updates(monkeypatch):
     assert 0 < updates <= 5479
 
 
+def test_one_entry_rows_leave_in_one_pass(monkeypatch):
+    # submodule span at eta (8, 8), 398 x 480 of rank 380 with 202 rows of
+    # one entry; pivoting on those one at a time took 3,365 row updates
+    rows, basis = _submodule_rows(HighestWeight(1, 2), (8, 8))
+    assert (len(rows), len(basis)) == (398, 480)
+    updates = 0
+    update = linalg._update
+
+    def counted(row, prow, pc):
+        nonlocal updates
+        updates += 1
+        return update(row, prow, pc)
+
+    monkeypatch.setattr(linalg, "_update", counted)
+    assert linalg.rank(rows) == 380
+    assert 0 < updates <= 1600
+
+
+def test_peel_cascades_and_drops_repeated_columns():
+    active = {0: {0: 2, 1: 3}, 1: {1: -1}, 2: {0: 1, 2: 1, 3: 4}, 3: {1: 1},
+              4: {1: 5, 2: 7}, 5: {0: 1, 1: 2, 3: 1}, 6: {0: 3, 2: 5}}
+    # rows 0 and 4, then row 2, are left with one entry; rows 3 and 5 end
+    # in the column of a lower row, and row 6 is emptied
+    assert linalg._peel(active) == [(1, {1: -1}), (0, {0: 1}), (2, {2: 1}),
+                                    (3, {3: 1})]
+    assert active == {}
+
+
 def _eliminate_by_scan(rows):
-    """Reference pivot order: a linear scan over the active rows per pivot."""
+    """Reference pivot order: the same peel of one-entry rows, then a linear
+    scan over the active rows per pivot."""
     active = {i: row for i, row in enumerate(rows) if row}
+    pivots = linalg._peel(active)
     rows_in = {}
     for i, row in active.items():
         for j in row:
             rows_in.setdefault(j, set()).add(i)
-    pivots = []
     while active:
         pi = min(active, key=lambda i: (len(active[i]), i))
         prow = active.pop(pi)
@@ -250,4 +302,9 @@ def test_heap_pivot_order_matches_linear_scan():
     basis = engine.weight_space_basis((5, 5))
     stacked = [row for g in RAISING for row in _raising_matrix(engine, g, basis, (5, 5))]
     sparse = [linalg._primitive(enumerate(row)) for row in stacked]
+    assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
+    # and on a submodule span, 87 of whose 137 rows have one entry
+    span, _ = _submodule_rows(HighestWeight(1, 2), (6, 7))
+    sparse = [linalg._primitive(enumerate(row)) for row in span]
+    assert sum(len(row) == 1 for row in sparse) == 87
     assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)

@@ -329,6 +329,16 @@ class TestEngineMemos:
             # the same products of letters, each written in its own order
             assert {frozenset(m) for m in own} == {frozenset(m) for m in basis}
 
+    def test_bases_are_sorted_and_complete(self):
+        for key in (basis_sort_key, alt_key):
+            for height in range(13):
+                for a0 in range(height + 1):
+                    eta = (a0, height - a0)
+                    basis = _level0_basis(key, *eta)
+                    assert basis == sorted(
+                        basis, key=lambda m: tuple((key(b), a) for b, a in m))
+                    assert len(basis) == len(set(basis)) == dim_oracle(eta)
+
     def test_negative_letter_actions_are_shared_by_engines_of_one_order(self):
         engines = [VermaModule(HighestWeight(1, 2)),
                    VermaModule(HighestWeight(Fraction(-3, 2), Fraction(5, 4))),

@@ -31,6 +31,9 @@ WHALF = '{"h":"-1/2","c1":"3/2","c2":"0","d1":"1/3","d2":"-2"}'
 WTHIRD = '{"h":"2/3","c1":"5/3","c2":"0","d1":"0","d2":"1/2"}'
 # its resonance scan bound is 1,022,119, with no integral term below it
 WSLOW = '{"h":"1/1009","c1":"1/1013","c2":"0","d1":"0","d2":"0"}'
+# the threshold edges of the quotient's generators: n1 = 0 and n0 = 0
+W01 = '{"h":"0","c1":"1","c2":"0","d1":"0","d2":"0"}'
+W33 = '{"h":"3","c1":"3","c2":"0","d1":"0","d2":"0"}'
 
 
 def invoke(*argv):
@@ -205,6 +208,12 @@ GOLDEN_STDOUT = [
      "da83f9744629f33fc49e5424cd4f1392f5f6dfafe2c7dc538eca020ff9ed6aad"),
     (("singular", "--weight", WTHIRD, "--eta", "2,0"),
      "ba774d665011bbd9c9f802295af2035474f746776fe28eaf18db9a91b55230c8"),
+    # recorded before the quotient was taken modulo f(0,0)^(n1+1) v by its
+    # monomial basis
+    (("quotient-char", "--weight", W01, "--depth", "8"),
+     "6f3a52458e1e10d56293a8eb03086e0119df5b5dceed11fadbed87c489f26d2c"),
+    (("quotient-char", "--weight", W33, "--depth", "8"),
+     "50b4b7e3ef01017d9aeab1ef2740a31dc62924e2629296274b8aba9b25ccb0e8"),
 ]
 
 
@@ -236,6 +245,8 @@ GOLDEN_STDERR = [
     "ce881355b8cce0ee2e9cb004959446fba967dc7d7eb73471b02205eb966b498d",  # 22 singular
     "f923e9a07b0e1378e57bbcf79d30c45b5d14ffda4f85fa505de4b34c4bfb383c",  # 23 singular
     "5c51e4ec67d915641712883180a6952ffd25f7bbe18d91484b2531f2ac9e37ef",  # 24 singular
+    "29697fd1f1fdcb260c8ca6976ecc27fc2864f1699a5b1ba9f6698f1c8ec967c0",  # 25 quotient-char
+    "29697fd1f1fdcb260c8ca6976ecc27fc2864f1699a5b1ba9f6698f1c8ec967c0",  # 26 quotient-char
 ]
 
 

@@ -14,6 +14,13 @@ factor of u has delta2-degree 0, because all negative roots have
 delta2-degree <= 0 and a strictly negative contribution can never be
 cancelled.  So spanning with horizontal affine monomials is exact, not a
 truncation.
+
+The submodule M_f generated by f(0,0)^(n1+1) v is not eliminated: f(0,0)
+is the last PBW letter, so u * f(0,0)^(n1+1) v is the monomial u with its
+f(0,0) exponent raised by n1 + 1.  The monomials of f(0,0) exponent at most
+n1 are then a basis of M(lam)/M_f, and the submodule's dimension at lam - eta
+is the count of the others plus the rank of the rows u * e(-1,0)^(n0+1) v
+restricted to that basis.
 """
 
 from __future__ import annotations
@@ -28,8 +35,7 @@ from .algebra import e, f, h
 # bench/tracer.py wraps quotient.dot_action by name, so the import stays
 from .roots import dot_action  # noqa: F401
 from .singular import RAISING, _RAISING_DROP, _raising_matrix, dot_orbit_drops
-from .verma import (HighestWeight, ModuleVector, PBWMonomial, dim_oracle,
-                    format_monomial, module_for)
+from .verma import HighestWeight, ModuleVector, dim_oracle, format_monomial, module_for
 
 
 class QuotientSpace(namedtuple("QuotientSpace", "eta ambient_dim submodule_dim quotient_dim")):
@@ -53,45 +59,34 @@ def _require_dominant(hw: HighestWeight) -> tuple[int, int]:
     return int(hw.n1), int(hw.n0)
 
 
-def _generator_words(hw: HighestWeight) -> list[tuple[tuple[int, int], PBWMonomial]]:
-    """The words of the two singular generators with their weight drops (a0, a1)."""
-    n1, n0 = _require_dominant(hw)
-    return [((0, n1 + 1), ((f(0, 0), n1 + 1),)),
-            ((n0 + 1, 0), ((e(-1, 0), n0 + 1),))]
+def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[Fraction]], list[int]]:
+    """Rows u * e(-1,0)^(n0+1) v at lam - eta in the basis of M(lam)/M_f, and
+    the positions of that basis (f(0,0) exponent <= n1) in the weight space's.
 
-
-def _coords_in_basis(vec: ModuleVector, index: dict[PBWMonomial, int]) -> list[Fraction]:
-    row = [0] * len(index)
-    for m, c in vec.items():
-        row[index[m]] = c
-    return row
-
-
-def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[Fraction]], list[PBWMonomial]]:
-    """Spanning rows of the submodule inside the lam - eta weight space.
-
-    A row is the memoized word u*s applied to v; a scan by height has built
-    u*s with the leading exponent of u lowered by one, so a row is one action.
+    A row is one action: a scan by height has built its memoized word with
+    the leading exponent of u lowered by one.
     """
+    n1, n0 = _require_dominant(hw)
     engine = module_for(hw)
     basis = engine.weight_space_basis(eta)
-    index = {m: i for i, m in enumerate(basis)}
+    f00 = f(0, 0)
+    kept = [j for j, m in enumerate(basis) if not (m and m[-1][0] == f00 and m[-1][1] > n1)]
+    index = {basis[j]: i for i, j in enumerate(kept)}
     rows: list[list[Fraction]] = []
-    for (g0, g1), gen_word in _generator_words(hw):
-        r0, r1 = eta[0] - g0, eta[1] - g1
-        if r0 < 0 or r1 < 0:
-            continue
-        for u in engine.weight_space_basis((r0, r1)):
-            image = engine.apply_word(u + gen_word)
-            if not image.is_zero():
-                rows.append(_coords_in_basis(image, index))
-    return rows, basis
+    if eta[0] > n0:
+        for u in engine.weight_space_basis((eta[0] - n0 - 1, eta[1])):
+            row = [0] * len(kept)
+            for m, c in engine.apply_word(u + ((e(-1, 0), n0 + 1),)).items():
+                if m in index:
+                    row[index[m]] = c
+            rows.append(row)
+    return rows, kept
 
 
 def submodule_dim_at(hw: HighestWeight, eta: tuple[int, int]) -> int:
     """Dimension of the submodule's slice of the lam - eta weight space."""
-    rows, _ = _submodule_rows(hw, eta)
-    return linalg.rank(rows)
+    rows, kept = _submodule_rows(hw, eta)
+    return len(module_for(hw).weight_space_basis(eta)) - len(kept) + linalg.rank(rows)
 
 
 def w_multiplicity(hw: HighestWeight, eta: tuple[int, int]) -> QuotientSpace:
@@ -130,24 +125,29 @@ def lchar_oracle(hw: HighestWeight, eta: tuple[int, int]) -> int:
 def quotient_singular_dim(hw: HighestWeight, eta: tuple[int, int]) -> int:
     """Dimension of the space of singular vectors of the quotient at lam - eta.
 
-    A class [x] is singular iff each raising image A_g x lies in the
-    submodule slice S_g of its target space, so the x form the preimage of
-    S_e + S_f under x -> (A_e x, A_f x).  With A the stacked raising
-    matrices and the spanning rows of S_e and S_f as extra columns, that
-    preimage has dimension n + rank S_e + rank S_f - rank [A | S_e^T | S_f^T].
-    It contains the slice at eta itself, which is subtracted.
+    It works in M(lam)/M_f: the raising matrices A_g restricted to the
+    monomials of f(0,0) exponent <= n1 (rows and columns), and the e rows
+    alone span the submodule.  A class [x] is singular iff each A_g x lies in
+    the submodule slice S_g of its target space, so the x form the preimage
+    of S_e + S_f under x -> (A_e x, A_f x).  With A the stacked matrices and
+    the spanning rows of S_e and S_f as extra columns, that preimage has
+    dimension n + rank S_e + rank S_f - rank [A | S_e^T | S_f^T], n the
+    dimension of M(lam)/M_f at eta.  It contains the slice at eta itself,
+    which is subtracted.
     """
     engine = module_for(hw)
     basis = engine.weight_space_basis(eta)
+    s_eta, cols = _submodule_rows(hw, eta)
     blocks: list[tuple[list[list[Fraction]], list[list[Fraction]]]] = []
     for g in RAISING:
+        # called for an empty target too, where it checks that g kills the space
+        a_g = _raising_matrix(engine, g, basis, eta)
         d0, d1 = _RAISING_DROP[g]
-        t = (eta[0] - d0, eta[1] - d1)
-        s_g = _submodule_rows(hw, t)[0] if t[0] >= 0 and t[1] >= 0 else []
-        blocks.append((_raising_matrix(engine, g, basis, eta), s_g))
+        s_g, kept = _submodule_rows(hw, (eta[0] - d0, eta[1] - d1)) if a_g else ([], [])
+        blocks.append(([[a_g[i][j] for j in cols] for i in kept], s_g))
     width = sum(len(s_g) for _, s_g in blocks)
     matrix: list[list[Fraction]] = []
-    offset = len(basis)
+    offset = len(cols)
     for a_g, s_g in blocks:
         for i, row in enumerate(a_g):
             full = row + [0] * width
@@ -155,8 +155,8 @@ def quotient_singular_dim(hw: HighestWeight, eta: tuple[int, int]) -> int:
                 full[offset + j] = s_row[i]
             matrix.append(full)
         offset += len(s_g)
-    dim = (len(basis) + sum(linalg.rank(s_g) for _, s_g in blocks)
-           - linalg.rank(matrix) - submodule_dim_at(hw, eta))
+    dim = (len(cols) + sum(linalg.rank(s_g) for _, s_g in blocks)
+           - linalg.rank(matrix) - linalg.rank(s_eta))
     if dim < 0:
         raise AssertionError(f"quotient singular space at eta {eta} has dimension {dim} < 0")
     return dim

@@ -7,7 +7,7 @@ from hypothesis import settings
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
 
-from toroidal_sl2 import basis_sort_key, e, f, h, is_positive, weight_of
+from toroidal_sl2 import basis_sort_key, e, f, h, is_positive, module_for, weight_of
 from toroidal_sl2.algebra import C1, C2, D1, D2
 
 SEED = int(os.environ.get("TV_SEED", "20250810"))
@@ -42,3 +42,32 @@ def random_canonical_monomial(rng, max_factors=3, max_exp=2, mbound=2, nmin=-2):
                for _ in range(rng.randint(0, max_factors))}
     ordered = sorted(letters, key=basis_sort_key, reverse=True)
     return tuple((b, rng.randint(1, max_exp)) for b in ordered)
+
+
+def generator_words(hw):
+    """The quotient's singular generators f(0,0)^(n1+1) v and e(-1,0)^(n0+1) v,
+    as (weight drop (a0, a1), word), for a dominant integral weight."""
+    n1, n0 = int(hw.n1), int(hw.n0)
+    return [((0, n1 + 1), ((f(0, 0), n1 + 1),)),
+            ((n0 + 1, 0), ((e(-1, 0), n0 + 1),))]
+
+
+def submodule_span(hw, eta, words=None):
+    """Oracle for the submodule's slice at lam - eta: every u * s v, s a
+    generator word (both by default) and u a basis monomial, straightened and
+    written in the basis of that weight space.  Returns (rows, basis)."""
+    engine = module_for(hw)
+    basis = engine.weight_space_basis(eta)
+    index = {m: i for i, m in enumerate(basis)}
+    rows = []
+    for (g0, g1), word in generator_words(hw) if words is None else words:
+        if eta[0] < g0 or eta[1] < g1:
+            continue
+        for u in engine.weight_space_basis((eta[0] - g0, eta[1] - g1)):
+            image = engine.apply_word(u + word)
+            if not image.is_zero():
+                row = [0] * len(basis)
+                for m, c in image.items():
+                    row[index[m]] = c
+                rows.append(row)
+    return rows, basis

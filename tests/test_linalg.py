@@ -5,8 +5,9 @@ from math import gcd, lcm
 import random
 
 from toroidal_sl2 import HighestWeight, linalg, module_for
-from toroidal_sl2.quotient import _submodule_rows
 from toroidal_sl2.singular import RAISING, _raising_matrix
+
+from conftest import submodule_span
 
 
 def rows(*data):
@@ -225,7 +226,7 @@ def test_row_first_pivoting_bounds_row_updates(monkeypatch):
 def test_one_entry_rows_leave_in_one_pass(monkeypatch):
     # submodule span at eta (8, 8), 398 x 480 of rank 380 with 202 rows of
     # one entry; pivoting on those one at a time took 3,365 row updates
-    rows, basis = _submodule_rows(HighestWeight(1, 2), (8, 8))
+    rows, basis = submodule_span(HighestWeight(1, 2), (8, 8))
     assert (len(rows), len(basis)) == (398, 480)
     updates = 0
     update = linalg._update
@@ -304,7 +305,7 @@ def test_heap_pivot_order_matches_linear_scan():
     sparse = [linalg._primitive(enumerate(row)) for row in stacked]
     assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
     # and on a submodule span, 87 of whose 137 rows have one entry
-    span, _ = _submodule_rows(HighestWeight(1, 2), (6, 7))
+    span, _ = submodule_span(HighestWeight(1, 2), (6, 7))
     sparse = [linalg._primitive(enumerate(row)) for row in span]
     assert sum(len(row) == 1 for row in sparse) == 87
     assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)

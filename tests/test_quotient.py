@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from toroidal_sl2 import (HighestWeight, ModuleVector, demo_infinite_dim,
-                          demo_nonintegrability, e, f, find_singular, h, lchar_oracle, linalg,
+from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key, demo_infinite_dim,
+                          demo_nonintegrability, f, find_singular, h, lchar_oracle, linalg,
                           module_for, quotient, quotient_singular_dim,
                           submodule_dim_at, w_multiplicity)
-from toroidal_sl2.quotient import _generator_words, _submodule_rows
+from toroidal_sl2.quotient import _submodule_rows
 from toroidal_sl2.singular import _RAISING_DROP, RAISING, _raising_matrix
-from toroidal_sl2.verma import VermaModule, weight_free_engine
+from toroidal_sl2.verma import VermaModule, _affine_negative_generators, weight_free_engine
+
+from conftest import generator_words, submodule_span
 
 
 def etas_up_to(depth):
@@ -104,15 +106,17 @@ def test_character_match_depth_twelve(n1, k1):
 
 
 def test_submodule_rows_match_words_applied_to_generators():
-    # each row is the memoized word u*s; the reference applies u to the
-    # generator vector s step by step on an engine with no word memo
+    # each oracle row is the memoized word u*s; the reference applies u to the
+    # generator vector s step by step on an engine with no word memo.  The
+    # quotient's rows are the e rows restricted to f(0,0) exponents <= n1 (no
+    # image is zero, as U(n-) acts freely)
     hw = HighestWeight(1, 2)
     reference = VermaModule(hw)
     for eta in etas_up_to(10):
-        rows, basis = _submodule_rows(hw, eta)
+        span, basis = submodule_span(hw, eta)
         index = {m: i for i, m in enumerate(basis)}
         expected = []
-        for (g0, g1), word in _generator_words(hw):
+        for (g0, g1), word in generator_words(hw):
             if eta[0] < g0 or eta[1] < g1:
                 continue
             for u in reference.weight_space_basis((eta[0] - g0, eta[1] - g1)):
@@ -122,8 +126,36 @@ def test_submodule_rows_match_words_applied_to_generators():
                     for m, c in image.items():
                         row[index[m]] = c
                     expected.append(row)
-        assert rows == expected
+        assert span == expected
+        rows, kept = _submodule_rows(hw, eta)
+        assert kept == [j for j, m in enumerate(basis) if dict(m).get(f(0, 0), 0) <= 1]
+        e_rows, _ = submodule_span(hw, eta, generator_words(hw)[1:])
+        assert rows == [[row[j] for j in kept] for row in e_rows]
     assert not reference._words
+
+
+@pytest.mark.parametrize("n1,k1", [(1, 2), (0, 1), (3, 3)])
+def test_f_generator_span_is_a_coordinate_subspace(n1, k1):
+    # the one assumption behind the basis of M(lam)/M_f: f(0,0) is the last
+    # PBW letter, so u * f(0,0)^(n1+1) v is u with its f(0,0) exponent raised
+    letters = [b for b, _ in _affine_negative_generators(10, 10)]
+    assert min(letters, key=basis_sort_key) == f(0, 0)
+    engine = VermaModule(HighestWeight(n1, k1))
+    word = ((f(0, 0), n1 + 1),)
+    for eta in etas_up_to(10):
+        for u in engine.weight_space_basis(eta):
+            if u and u[-1][0] == f(0, 0):
+                raised = u[:-1] + ((f(0, 0), u[-1][1] + n1 + 1),)
+            else:
+                raised = u + word
+            assert engine.apply_word(u + word) == ModuleVector.monomial(raised)
+
+
+@pytest.mark.parametrize("n1,k1", [(1, 2), (0, 1), (2, 3), (0, 0), (3, 3), (1, 4), (2, 2)])
+def test_submodule_dim_is_the_rank_of_both_generators_span(n1, k1):
+    hw = HighestWeight(n1, k1)
+    for eta in etas_up_to(12):
+        assert submodule_dim_at(hw, eta) == linalg.rank(submodule_span(hw, eta)[0])
 
 
 def test_integral_weight_straightens_over_the_integers():
@@ -164,9 +196,9 @@ def test_quotient_singular_dim_counts_the_top():
     assert quotient_singular_dim(HighestWeight(1, 1), (0, 0)) == 1
 
 
-def block_nullspace_singular_dim(hw, eta):
-    """Solutions (x, y_e, y_f) of A_g x = S_g^T y_g, with independent rows
-    S_g at each target, minus the submodule slice at eta."""
+def block_nullspace_singular_dim(hw, eta, words=None):
+    """Solutions (x, y_e, y_f) of A_g x = S_g^T y_g in M(lam), with independent
+    rows S_g of the oracle span at each target, minus the slice at eta."""
     def independent(rows):
         chosen = []
         for row in rows:
@@ -180,7 +212,7 @@ def block_nullspace_singular_dim(hw, eta):
     per_target = []
     for g in RAISING:
         t = (eta[0] - _RAISING_DROP[g][0], eta[1] - _RAISING_DROP[g][1])
-        s_g = independent(_submodule_rows(hw, t)[0]) if min(t) >= 0 else []
+        s_g = independent(submodule_span(hw, t, words)[0]) if min(t) >= 0 else []
         per_target.append((_raising_matrix(engine, g, basis, eta), s_g))
     width = sum(len(s_g) for _, s_g in per_target)
     blocks, offset = [], n
@@ -192,20 +224,45 @@ def block_nullspace_singular_dim(hw, eta):
             blocks.append(full)
         offset += len(s_g)
     return (len(linalg.nullspace(blocks, n + width))
-            - len(independent(_submodule_rows(hw, eta)[0])))
+            - len(independent(submodule_span(hw, eta, words)[0])))
+
+
+@pytest.mark.parametrize("n1,k1", [(1, 2), (0, 1), (3, 3)])
+def test_quotient_singular_dim_matches_block_nullspace(n1, k1):
+    hw = HighestWeight(n1, k1)
+    for eta in etas_up_to(5):
+        assert quotient_singular_dim(hw, eta) == block_nullspace_singular_dim(hw, eta)
+
+
+def test_quotient_singular_dim_checks_empty_targets(monkeypatch):
+    # both raising matrices are built even where a target space is empty, so
+    # _raising_matrix checks that the generator kills the whole weight space
+    calls = []
+    raising_matrix = quotient._raising_matrix
+
+    def recorded(engine, g, basis, eta):
+        calls.append((g, eta))
+        return raising_matrix(engine, g, basis, eta)
+
+    monkeypatch.setattr(quotient, "_raising_matrix", recorded)
+    for eta in [(0, 0), (0, 3), (2, 0)]:
+        quotient_singular_dim(HighestWeight(1, 2), eta)
+    assert calls == [(g, eta) for eta in [(0, 0), (0, 3), (2, 0)] for g in RAISING]
 
 
 def test_quotient_singular_dim_with_one_generator(monkeypatch):
-    # dividing by the f(0,0)^(n1+1) v submodule alone leaves e(-1,0)^(n0+1) v
-    # singular in the quotient, beside the top
-    generator_words = quotient._generator_words
-    monkeypatch.setattr(quotient, "_generator_words", lambda hw: generator_words(hw)[:1])
+    # with the e rows dropped, the quotient is M(lam)/M_f alone: it leaves
+    # e(-1,0)^(n0+1) v singular, beside the top
+    submodule_rows = quotient._submodule_rows
+    monkeypatch.setattr(quotient, "_submodule_rows",
+                        lambda hw, eta: ([], submodule_rows(hw, eta)[1]))
     hw = HighestWeight(1, 2)
-    assert _generator_words(hw)[0][1] == ((f(0, 0), 2),)
+    f_only = generator_words(hw)[:1]
+    assert f_only[0][1] == ((f(0, 0), 2),)
     found = {}
     for eta in etas_up_to(6):
         dim = quotient_singular_dim(hw, eta)
-        assert dim == block_nullspace_singular_dim(hw, eta)
+        assert dim == block_nullspace_singular_dim(hw, eta, f_only)
         if dim:
             found[eta] = dim
     assert found == {(0, 0): 1, (2, 0): 1}

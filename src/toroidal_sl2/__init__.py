@@ -13,7 +13,7 @@ from .algebra import (AlgebraElement, BasisElement, C1, C2, D1, D2,
                       parse_element, weight_of)
 from .roots import (ALPHA, ALPHA0, ALPHA1, DELTA1, DELTA2, RHO, CartanElement,
                     RootVector, Weight, classify, coroot, dot_action,
-                    form_hstar, is_positive, q1_coords, reflect, root_from_q1)
+                    is_positive, q1_coords, reflect, root_from_q1)
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, VermaModule,
                     dim_oracle, format_monomial, module_for)
 from .singular import (SingularCertificate, find_singular, orbit_report,
@@ -30,7 +30,7 @@ __all__ = [
     "basis_sort_key", "bracket", "e", "f", "format_element", "h",
     "parse_element", "weight_of",
     "ALPHA", "ALPHA0", "ALPHA1", "DELTA1", "DELTA2", "RHO", "CartanElement",
-    "RootVector", "Weight", "classify", "coroot", "dot_action", "form_hstar",
+    "RootVector", "Weight", "classify", "coroot", "dot_action",
     "is_positive", "q1_coords", "reflect", "root_from_q1",
     "HighestWeight", "ModuleVector", "PBWMonomial", "VermaModule",
     "dim_oracle", "format_monomial", "module_for",

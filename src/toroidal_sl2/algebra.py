@@ -92,12 +92,12 @@ _CONST_RANK = {"c1": 0, "c2": 1, "d1": 2, "d2": 3}
 
 
 def basis_sort_key(b: BasisElement) -> tuple:
-    """Default strict total order on generators: (-n, -m, rank f < h < e).
+    """The strict total order on generators: (-n, -m, rank f < h < e).
 
     Loop elements sort before the constants; the key groups generators by
     delta2-degree, then delta1-degree, so delta2-level-0 computations stay
     self-contained.  Any fixed total order makes the straightening in the
-    module engine terminate; this one is the library default.
+    module engine terminate; the engine uses this one only.
     """
     if b.degree is None:
         return (1, _CONST_RANK[b.kind])

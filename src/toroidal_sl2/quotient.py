@@ -134,17 +134,21 @@ def quotient_singular_dim(hw: HighestWeight, eta: tuple[int, int]) -> int:
     dimension n + rank S_e + rank S_f - rank [A | S_e^T | S_f^T], n the
     dimension of M(lam)/M_f at eta.  It contains the slice at eta itself,
     which is subtracted.
+
+    Only the columns of M(lam)/M_f are straightened, also where a target
+    space is empty and ``_raising_matrix`` checks that g kills them.  That
+    check then skips only the monomials f(0,0)^a v with a > n1 at eta =
+    (0, a), which f(1,0) kills as [f(1,0), f(0,0)] = 0.
     """
     engine = module_for(hw)
     basis = engine.weight_space_basis(eta)
     s_eta, cols = _submodule_rows(hw, eta)
     blocks: list[tuple[list[list[Fraction]], list[list[Fraction]]]] = []
     for g in RAISING:
-        # called for an empty target too, where it checks that g kills the space
-        a_g = _raising_matrix(engine, g, basis, eta)
+        a_g = _raising_matrix(engine, g, [basis[j] for j in cols], eta)
         d0, d1 = _RAISING_DROP[g]
         s_g, kept = _submodule_rows(hw, (eta[0] - d0, eta[1] - d1)) if a_g else ([], [])
-        blocks.append(([[a_g[i][j] for j in cols] for i in kept], s_g))
+        blocks.append(([a_g[i] for i in kept], s_g))
     width = sum(len(s_g) for _, s_g in blocks)
     matrix: list[list[Fraction]] = []
     offset = len(cols)

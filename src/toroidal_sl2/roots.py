@@ -261,18 +261,6 @@ def dot_action(word: Sequence[str], lam: Weight) -> Weight:
     return mu - RHO
 
 
-def form_hstar(x: Weight, y: Weight) -> Fraction:
-    """Invariant symmetric form on weight space.
-
-    Expanding in the basis (alpha, delta1, delta2, omega1, omega2) via the
-    stored coordinates, the only nonzero products are (alpha|alpha) = 2 and
-    (delta_i|omega_i) = 1.
-    """
-    return (Fraction(x.h * y.h, 2)
-            + x.d1 * y.c1 + x.c1 * y.d1
-            + x.d2 * y.c2 + x.c2 * y.d2)
-
-
 def weight_as_root(w: Weight) -> RootVector:
     """Inverse of Weight.from_root; raises if w is not an integral root vector."""
     two_a, n1, n2 = w.h, w.d1, w.d2

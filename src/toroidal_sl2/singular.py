@@ -20,7 +20,7 @@ Kernels are computed by exact sparse integer elimination on the matrices
 of the two raising actions restricted to one weight space, so every kernel
 vector has primitive integer coefficients.
 
-The raising matrices are straightened once per order, at weight zero.  As
+The raising matrices are straightened once, at weight zero.  As
 g kills v, g * x1...xk * v is the sum over i of x1...[g, xi]...xk * v.  Of
 the level-0 negative letters only two bracket into the Cartan part:
 
@@ -41,10 +41,10 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .algebra import BasisElement, add_scaled, basis_sort_key, e, f
+from .algebra import BasisElement, add_scaled, e, f
 from .roots import Rational, Weight, dot_action, q1_coords, root_from_q1, weight_as_root
-from .verma import (HighestWeight, ModuleVector, PBWMonomial, SortKey,
-                    VermaModule, format_monomial, module_for, weight_free_engine)
+from .verma import (HighestWeight, ModuleVector, PBWMonomial, VermaModule,
+                    format_monomial, module_for, weight_free_engine)
 
 RAISING: tuple[BasisElement, BasisElement] = (e(0, 0), f(1, 0))
 
@@ -109,7 +109,7 @@ def _raising_matrix(engine: VermaModule, g: BasisElement,
                     eta: tuple[int, int]) -> list[list[Rational]]:
     """Matrix of act(g, .) from the eta space to the eta - drop(g) space,
     straightened at weight zero (see the module docstring)."""
-    free = weight_free_engine(engine.key)
+    free = weight_free_engine()
     n = _weight_term(engine.hw, g)
     d0, d1 = _RAISING_DROP[g]
     t0, t1 = eta[0] - d0, eta[1] - d1
@@ -128,11 +128,10 @@ def _raising_matrix(engine: VermaModule, g: BasisElement,
     return rows
 
 
-def find_singular(hw: HighestWeight, eta: tuple[int, int],
-                  sort_key: SortKey = basis_sort_key) -> SingularCertificate:
+def find_singular(hw: HighestWeight, eta: tuple[int, int]) -> SingularCertificate:
     """All singular vectors of weight lam - eta, eta in the level-0 cone;
     AssertionError if one is not killed by both raising operators."""
-    engine = module_for(hw, sort_key)
+    engine = module_for(hw)
     basis = engine.weight_space_basis(eta)
     stacked: list[list[Rational]] = []
     for g in RAISING:

@@ -3,7 +3,8 @@
 A highest weight vector v is killed by every positive-root generator and
 carries a weight lam with lam(c1) = k1 >= 0 and lam(c2) = 0.  The module
 is free over the negative half, so ordered products of negative-root
-generators applied to v form a basis (PBW monomials).
+generators applied to v form a basis (PBW monomials), in the one order
+``basis_sort_key``: the quotient needs f(0,0) last, and reports sort by it.
 
 Straightening.  ``VermaModule.act`` commutes a generator rightward past
 the factors of a canonical monomial, replacing g*F by F*g + [g,F].  The
@@ -30,10 +31,10 @@ engine memoizes positive letters on monomials and words applied to v (a
 word is its leading letter applied to the memoized word one letter
 shorter, so words sharing a tail are straightened once); Cartan letters
 are read off the weight.  Negative letters and level-0 bases do not depend
-on the weight; one memo per order serves every engine, and ``module_for``
-keeps only the newest engines.  Raising matrices are straightened once
-per order on the engine at weight zero (``weight_free_engine``), which no
-sweep over weights evicts; ``singular`` adds the weight's one term.
+on the weight, and ``module_for`` keeps only the newest engines.  The
+engine at weight zero (``weight_free_engine``), never evicted, memoizes
+every action that does not read the weight: negative letters for every
+engine, and the raising matrices ``singular`` straightens once for all.
 """
 
 from __future__ import annotations
@@ -41,15 +42,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .algebra import (ALPHA_COEFF, AlgebraElement, BasisElement, H,
                       LinearCombination, add_scaled, basis_sort_key, bracket,
                       e, f, format_terms, h, is_cartan, weight_of)
-from .roots import RootVector, Weight, Rational, frac, is_positive
+from .roots import Weight, Rational, frac, is_positive
 
 PBWMonomial = tuple[tuple[BasisElement, int], ...]
-SortKey = Callable[[BasisElement], tuple]
 
 VACUUM: PBWMonomial = ()
 
@@ -97,28 +97,12 @@ def monomial_degree(m: PBWMonomial) -> int:
     return sum(a for _, a in m)
 
 
-def monomial_weight(m: PBWMonomial) -> RootVector:
-    w = RootVector(0, 0, 0)
-    for b, a in m:
-        w = w + a * weight_of(b)
-    return w
-
-
 # Unbounded, as it classifies only letters a run acts with or meets:
 # O(D) letters on a level-0 scan to depth D, as for algebra._loop.
 @lru_cache(maxsize=None)
 def _positive(g: BasisElement) -> Optional[bool]:
     """None for a Cartan generator, else whether the root of g is positive."""
     return None if is_cartan(g) else is_positive(weight_of(g))
-
-
-def is_canonical(m: PBWMonomial, key: SortKey = basis_sort_key) -> bool:
-    """Factors strictly decreasing in the order, exponents >= 1, all negative."""
-    for b, a in m:
-        if a < 1 or _positive(b) is not False:
-            return False
-    keys = [key(b) for b, _ in m]
-    return all(keys[i] > keys[i + 1] for i in range(len(keys) - 1))
 
 
 def format_monomial(m: PBWMonomial) -> str:
@@ -199,12 +183,12 @@ def dim_oracle(eta: tuple[int, int]) -> int:
 
 
 # A depth-24 scan visits 325 drops (heights 0..24), and a basis depends
-# only on the order and the drop, so this holds such a scan for one order.
+# only on the drop, so this holds such a scan.
 @lru_cache(maxsize=325)
-def _level0_basis(sort_key: SortKey, a0: int, a1: int) -> list[PBWMonomial]:
+def _level0_basis(a0: int, a1: int) -> list[PBWMonomial]:
     """Level-0 canonical monomials of drop (a0, a1), sorted by the order."""
     gens = _affine_negative_generators(a0, a1)
-    gens.sort(key=lambda g: sort_key(g[0]), reverse=True)
+    gens.sort(key=lambda g: basis_sort_key(g[0]), reverse=True)
     out: list[PBWMonomial] = []
 
     def rec(start: int, r0: int, r1: int, acc: list[tuple[BasisElement, int]]):
@@ -226,33 +210,23 @@ def _level0_basis(sort_key: SortKey, a0: int, a1: int) -> list[PBWMonomial]:
     return out
 
 
-# negative-letter actions per PBW order (see VermaModule._act_basis), and
-# the engine at weight zero per order (see weight_free_engine); both live
-# as long as the process, outside the bounded engine registry
-_NEGATIVE_MEMOS: dict[SortKey, dict[tuple[BasisElement, PBWMonomial],
-                                     dict[PBWMonomial, Rational]]] = {}
-_WEIGHT_FREE: dict[SortKey, "VermaModule"] = {}
-
-
 class VermaModule:
-    """The module engine for one highest weight (and one basis order).
+    """The module engine for one highest weight.
 
     All methods are pure.  Positive letters (``_cache``) and words applied
     to v (``_words``) are memoized per instance, so reusing one engine
     across a scan is much faster than constructing fresh ones; negative
-    letters (``_negative``) share one memo per order, and Cartan letters
-    are not memoized.
+    letters go to the ``_cache`` of the engine at weight zero, shared by
+    every engine, and Cartan letters are not memoized.
     """
 
-    def __init__(self, hw: HighestWeight, sort_key: SortKey = basis_sort_key):
+    def __init__(self, hw: HighestWeight):
         self.hw = hw
-        self.key = sort_key
         # the Cartan eigenvalues on v by kind, ints where integral
         self._lam = {kind: val.numerator if val.denominator == 1 else val
                      for kind, val in (("h", hw.n1), ("c1", hw.k1), ("c2", Fraction(0)),
                                        ("d1", hw.d1), ("d2", hw.d2))}
         self._cache: dict[tuple[BasisElement, PBWMonomial], dict[PBWMonomial, Rational]] = {}
-        self._negative = _NEGATIVE_MEMOS.setdefault(sort_key, {})
         self._words: dict[tuple[tuple[BasisElement, int], ...], ModuleVector] = {}
 
     # -- single generator action ------------------------------------------
@@ -272,9 +246,9 @@ class VermaModule:
         # A negative letter on m (all letters negative) only reorders and
         # brackets negative letters, and the bracket of two is a negative-root
         # generator or zero, never a Cartan or central term: lam is never
-        # read.  Those actions go to the memo of the order, shared by every
-        # engine, so it grows with the depth scanned, not with the weights.
-        memo = self._cache if positive else self._negative
+        # read.  Those actions go to the weight-zero engine's memo, shared by
+        # every engine, so it grows with the depth scanned, not the weights.
+        memo = self._cache if positive else weight_free_engine()._cache
         hit = memo.get((g, m))
         if hit is None:
             hit = memo[(g, m)] = self._act_basis_uncached(g, positive, m)
@@ -285,15 +259,12 @@ class VermaModule:
         if not m:
             return {} if positive else {((g, 1),): 1}
         (lead, a) = m[0]
-        kl = self.key(lead)
+        kl = basis_sort_key(lead)
         if not positive:
-            kg = self.key(g)
-            if kg > kl:
-                return {((g, 1),) + m: 1}
-            if kg == kl:
-                if g != lead:
-                    raise ValueError(f"sort key is not strict: {g!r} and {lead!r} share a key")
+            if g == lead:
                 return {((lead, a + 1),) + m[1:]: 1}
+            if basis_sort_key(g) > kl:
+                return {((g, 1),) + m: 1}
         # m must be canonical, else a negative g reads lam into the shared memo
         if _positive(lead) is not False:
             raise ValueError(f"{format_monomial(m)} is not a canonical monomial")
@@ -303,7 +274,7 @@ class VermaModule:
         for m2, c2 in self._act_basis(g, tail).items():
             # termination: the degree-preserving part of g*tail is the
             # sorted multiset of its letters, so lead re-attaches directly.
-            if (m2 and kl < self.key(m2[0][0])
+            if (m2 and kl < basis_sort_key(m2[0][0])
                     and monomial_degree(m2) >= monomial_degree(m)):
                 raise AssertionError(f"straightening: {lead!r} does not re-attach "
                                      f"to {format_monomial(m2)}")
@@ -357,39 +328,37 @@ class VermaModule:
         Only factors from the horizontal affine negative half can occur:
         all negative roots have delta2-degree <= 0, so a factor below level
         0 could never be compensated.  The enumeration therefore restricts
-        to f(-k,0), e(-k,0), h(-k,0).  The list is cached per order and
-        drop, shared by every engine and caller, who must not change it.
+        to f(-k,0), e(-k,0), h(-k,0).  The list is cached per drop,
+        shared by every engine and caller, who must not change it.
         """
         a0, a1 = eta
         if a0 < 0 or a1 < 0:
             raise ValueError(f"eta outside the nonnegative simple-root cone: {(a0, a1)}")
-        return _level0_basis(self.key, a0, a1)
+        return _level0_basis(a0, a1)
 
 
 # A command straightens for one weight; a few more keep callers that
 # alternate among a handful of weights warm, while a sweep over many
 # weights, each used once, keeps at most this many engines' memos alive.
 _MAX_ENGINES = 8
-_ENGINES: dict[tuple, VermaModule] = {}
+_ENGINES: dict[HighestWeight, VermaModule] = {}
 
 
-def module_for(hw: HighestWeight, sort_key: SortKey = basis_sort_key) -> VermaModule:
-    """Shared engine per (highest weight, order); the oldest is evicted first."""
-    key = (hw, sort_key)
-    eng = _ENGINES.get(key)
+def module_for(hw: HighestWeight) -> VermaModule:
+    """Shared engine per highest weight; the oldest is evicted first."""
+    eng = _ENGINES.get(hw)
     if eng is None:
         if len(_ENGINES) >= _MAX_ENGINES:
             del _ENGINES[next(iter(_ENGINES))]
-        eng = _ENGINES[key] = VermaModule(hw, sort_key)
+        eng = _ENGINES[hw] = VermaModule(hw)
     return eng
 
 
-def weight_free_engine(sort_key: SortKey = basis_sort_key) -> VermaModule:
-    """The engine at weight 0 for one order, kept for the process lifetime.
+_WEIGHT_ZERO = VermaModule(HighestWeight(0, 0))  # outside the registry
 
-    ``singular`` straightens raising actions here once for every weight.
-    """
-    eng = _WEIGHT_FREE.get(sort_key)
-    if eng is None:
-        eng = _WEIGHT_FREE[sort_key] = VermaModule(HighestWeight(0, 0), sort_key)
-    return eng
+
+def weight_free_engine() -> VermaModule:
+    """The engine at weight 0, kept for the process lifetime.  Its ``_cache``
+    holds the negative letters of every engine and the raising actions that
+    ``singular`` straightens here; neither reads the weight."""
+    return _WEIGHT_ZERO

@@ -1,5 +1,6 @@
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -7,8 +8,9 @@ from hypothesis import settings
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
 
-from toroidal_sl2 import basis_sort_key, e, f, h, is_positive, module_for, weight_of
-from toroidal_sl2.algebra import C1, C2, D1, D2
+from toroidal_sl2 import (HighestWeight, RootVector, VermaModule, basis_sort_key, e, f, h,
+                          is_positive, module_for, singular, verma, weight_of)
+from toroidal_sl2.algebra import C1, C2, D1, D2, is_cartan
 
 SEED = int(os.environ.get("TV_SEED", "20250810"))
 
@@ -19,6 +21,50 @@ LOOP_MAKERS = (e, f, h)
 @pytest.fixture
 def rng():
     return random.Random(SEED)
+
+
+@pytest.fixture
+def fresh_weight_free(monkeypatch):
+    """Each call swaps in a new engine at weight zero, whose memo starts
+    empty, for the rest of the test, and returns it."""
+    def swap():
+        free = VermaModule(HighestWeight(0, 0))
+        for module in (verma, singular):
+            monkeypatch.setattr(module, "weight_free_engine", lambda: free)
+        return free
+    return swap
+
+
+def is_negative(b):
+    return not is_cartan(b) and not is_positive(weight_of(b))
+
+
+def is_canonical(m):
+    """Factors strictly decreasing in the PBW order, exponents >= 1, all negative."""
+    for b, a in m:
+        if a < 1 or not is_negative(b):
+            return False
+    keys = [basis_sort_key(b) for b, _ in m]
+    return all(keys[i] > keys[i + 1] for i in range(len(keys) - 1))
+
+
+def monomial_weight(m):
+    w = RootVector(0, 0, 0)
+    for b, a in m:
+        w = w + a * weight_of(b)
+    return w
+
+
+def form_hstar(x, y):
+    """Invariant symmetric form on weight space.
+
+    Expanding in the basis (alpha, delta1, delta2, omega1, omega2) via the
+    stored coordinates, the only nonzero products are (alpha|alpha) = 2 and
+    (delta_i|omega_i) = 1.
+    """
+    return (Fraction(x.h * y.h, 2)
+            + x.d1 * y.c1 + x.c1 * y.d1
+            + x.d2 * y.c2 + x.c2 * y.d2)
 
 
 def random_basis_element(rng, mbound=5, nbound=5, constants=True):
@@ -32,8 +78,7 @@ def random_negative_element(rng, mbound=2, nmin=-2):
     while True:
         mk = rng.choice(LOOP_MAKERS)
         b = mk(rng.randint(-mbound, mbound), rng.randint(nmin, 0))
-        w = weight_of(b)
-        if not w.is_zero() and not is_positive(w):
+        if is_negative(b):
             return b
 
 

@@ -159,8 +159,8 @@ def test_submodule_dim_is_the_rank_of_both_generators_span(n1, k1):
 
 
 def test_integral_weight_straightens_over_the_integers():
-    # the quotient applies only negative letters, which go to the memo shared
-    # by the order; a raising matrix fills the weight-free engine's memo, and
+    # the quotient applies only negative letters and a raising matrix is
+    # straightened at weight zero, both into the weight-free engine's memo;
     # the check of a kernel vector fills the engine's own
     hw = HighestWeight(1, 2)
     engine = module_for(hw)
@@ -169,7 +169,7 @@ def test_integral_weight_straightens_over_the_integers():
     matrix = _raising_matrix(engine, RAISING[0], engine.weight_space_basis((3, 3)), (3, 3))
     assert all(type(c) is int for row in matrix for c in row)
     assert find_singular(hw, (0, 2)).kernel_dim == 1
-    for cache in (engine._cache, engine._negative, weight_free_engine()._cache):
+    for cache in (engine._cache, weight_free_engine()._cache):
         assert cache
         assert all(type(c) is int for terms in cache.values() for c in terms.values())
 

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 
 from toroidal_sl2 import (ALPHA, ALPHA0, ALPHA1, DELTA1, DELTA2, RHO,
                           RootVector, Weight, classify, coroot, dot_action,
-                          form_hstar, is_positive, q1_coords, reflect,
-                          root_from_q1)
+                          is_positive, q1_coords, reflect, root_from_q1)
 from toroidal_sl2.roots import (IMAGINARY, NOT_ROOT, REAL, CartanElement,
                                 roots_in_box, weight_as_root)
+
+from conftest import form_hstar
 
 
 def test_classify():

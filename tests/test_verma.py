@@ -5,16 +5,16 @@ from fractions import Fraction
 import pytest
 
 from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key,
-                          bracket, dim_oracle, e, f, format_monomial, h,
-                          module_for, root_from_q1, weight_of)
+                          bracket, dim_oracle, e, f, find_singular, format_monomial,
+                          h, module_for, root_from_q1, w_multiplicity, weight_of)
 from toroidal_sl2.algebra import C1, C2, D1, D2
 from toroidal_sl2.roots import CartanElement, Weight
-from toroidal_sl2.verma import (_ENGINES, _MAX_ENGINES, _NEGATIVE_MEMOS,
-                                VermaModule, _level0_basis, is_canonical,
-                                monomial_weight)
+from toroidal_sl2.verma import (_ENGINES, _MAX_ENGINES, VermaModule, _level0_basis,
+                                weight_free_engine)
 
-from conftest import (random_basis_element, random_canonical_monomial,
-                      random_negative_element)
+from conftest import (is_canonical, is_negative, monomial_weight, random_basis_element,
+                      random_canonical_monomial, random_negative_element)
+from test_straightening_oracle import brute_force_apply
 
 
 V = ModuleVector.highest_weight_vector()
@@ -167,21 +167,14 @@ class TestAct:
             eng.act(f(0, 0), mono((h(-1, 0), 1), (e(-1, 0), 1)))
 
     def test_non_canonical_monomial_is_rejected_and_not_memoized(self):
-        # a positive letter inside m would make the memo shared by the order
-        # return an answer of the first weight it was asked at
+        # a positive letter inside m would make the memo shared by every
+        # engine return an answer of the first weight it was asked at
         m = mono((e(0, 0), 1), (f(0, 0), 1))
         for hw in (HighestWeight(1, 4), HighestWeight(3, 4)):
             with pytest.raises(ValueError, match="is not a canonical monomial"):
                 VermaModule(hw).act(f(0, 0), m)
         key = ((e(0, 0), 1), (f(0, 0), 1))
-        assert (f(0, 0), key) not in _NEGATIVE_MEMOS[basis_sort_key]
-
-    def test_order_with_shared_keys_is_rejected(self):
-        def tied(b):
-            return basis_sort_key(f(-1, 0) if b == e(-1, 0) else b)
-        eng = VermaModule(HighestWeight(1, 2), tied)
-        with pytest.raises(ValueError, match="sort key is not strict"):
-            eng.act(e(-1, 0), mono((f(-1, 0), 1)))
+        assert (f(0, 0), key) not in weight_free_engine()._cache
 
     def test_weight_correctness(self):
         eng = module_for(HighestWeight(1, 2))
@@ -253,42 +246,23 @@ class TestDimOracle:
             dim_oracle((-1, 0))
 
 
-def alt_key(b):
-    """A second total order: delta1-degree ascending, kinds reversed."""
-    if b.degree is None:
-        return (1, {"c1": 0, "c2": 1, "d1": 2, "d2": 3}[b.kind])
-    m, n = b.degree
-    return (0, -n, m, {"e": 0, "h": 1, "f": 2}[b.kind])
-
-
 class TestSecondOrder:
-    def test_dimensions_agree(self):
-        hw = HighestWeight(1, 1)
-        default = module_for(hw)
-        other = VermaModule(hw, alt_key)
-        for a0 in range(5):
-            for a1 in range(5):
-                assert (len(default.weight_space_basis((a0, a1)))
-                        == len(other.weight_space_basis((a0, a1))))
+    """The engine against the brute-force rewriting of the straightening
+    oracle, which reaches normal form by its own termination order."""
 
     def test_straightening_consistent_across_orders(self):
         # the vacuum-line coefficient of (raising word) * (lowering word) * v
-        # does not depend on the PBW order used to straighten
+        # does not depend on the order used to straighten
         hw = HighestWeight(1, 2)
         word = [(f(0, 0), 2), (e(-1, 0), 1), (h(-1, 0), 1)]
         raise_word = [(e(0, 0), 1), (f(1, 0), 1), (e(0, 0), 1),
                       (f(1, 0), 1), (e(0, 0), 1)]
-
-        def vacuum_coeff(eng):
-            u = eng.apply_word(word)
-            w = eng.apply_word(raise_word, u)
-            assert set(w.terms) <= {()}
-            return w.terms.get((), Fraction(0))
-
-        c_default = vacuum_coeff(module_for(hw))
-        c_other = vacuum_coeff(VermaModule(hw, alt_key))
-        assert c_default == c_other
-        assert c_default != 0
+        eng = module_for(hw)
+        w = eng.apply_word(raise_word, eng.apply_word(word))
+        assert set(w.terms) <= {()}
+        letters = [b for b, exp in raise_word + word for _ in range(exp)]
+        assert w == brute_force_apply(letters, hw)
+        assert w.terms[()] == 32
 
 
 class TestEngineMemos:
@@ -317,78 +291,85 @@ class TestEngineMemos:
     def test_bases_are_shared_by_engines_of_one_order(self):
         one = VermaModule(HighestWeight(1, 2))
         two = VermaModule(HighestWeight(Fraction(-3, 2), Fraction(5, 4), 1, 2))
-        other = VermaModule(HighestWeight(1, 2), alt_key)
         for eta in [(4, 4), (3, 5), (0, 0)]:
             basis = one.weight_space_basis(eta)
             assert two.weight_space_basis(eta) is basis
-            assert basis == _level0_basis.__wrapped__(basis_sort_key, *eta)
-            own = other.weight_space_basis(eta)
-            assert own is other.weight_space_basis(eta) and own is not basis
-            assert own == _level0_basis.__wrapped__(alt_key, *eta)
-            assert all(is_canonical(m, alt_key) for m in own)
-            # the same products of letters, each written in its own order
-            assert {frozenset(m) for m in own} == {frozenset(m) for m in basis}
+            assert basis == _level0_basis.__wrapped__(*eta)
 
     def test_bases_are_sorted_and_complete(self):
-        for key in (basis_sort_key, alt_key):
-            for height in range(13):
-                for a0 in range(height + 1):
-                    eta = (a0, height - a0)
-                    basis = _level0_basis(key, *eta)
-                    assert basis == sorted(
-                        basis, key=lambda m: tuple((key(b), a) for b, a in m))
-                    assert len(basis) == len(set(basis)) == dim_oracle(eta)
+        for height in range(13):
+            for a0 in range(height + 1):
+                eta = (a0, height - a0)
+                basis = _level0_basis(*eta)
+                assert basis == sorted(
+                    basis, key=lambda m: tuple((basis_sort_key(b), a) for b, a in m))
+                assert len(basis) == len(set(basis)) == dim_oracle(eta)
 
-    def test_negative_letter_actions_are_shared_by_engines_of_one_order(self):
+    def test_negative_letter_actions_are_shared_by_engines_of_one_order(
+            self, fresh_weight_free):
+        free = fresh_weight_free()
         engines = [VermaModule(HighestWeight(1, 2)),
                    VermaModule(HighestWeight(Fraction(-3, 2), Fraction(5, 4))),
                    VermaModule(HighestWeight(1, 2, d1=3, d2=Fraction(-1, 3)))]
-        other = VermaModule(HighestWeight(1, 2), alt_key)
-        assert all(eng._negative is _NEGATIVE_MEMOS[basis_sort_key] for eng in engines)
-        assert other._negative is _NEGATIVE_MEMOS[alt_key]
-        assert other._negative is not engines[0]._negative
-        for eng, eta in [(engines[0], (3, 3)), (other, (3, 3)), (engines[0], (2, 4))]:
-            for m in eng.weight_space_basis(eta):
+        for eta in [(3, 3), (2, 4)]:
+            for m in engines[0].weight_space_basis(eta):
                 for g in (f(0, 0), e(-1, 0), h(-2, 0), f(-1, -1)):
-                    first = eng._act_basis(g, m)
-                    assert eng._negative[(g, m)] is first
-                    if eng is not other:
-                        assert all(e2._act_basis(g, m) is first for e2 in engines[1:])
+                    first = engines[0]._act_basis(g, m)
+                    assert free._cache[(g, m)] is first
+                    assert all(e2._act_basis(g, m) is first for e2 in engines[1:])
+        assert not any(eng._cache for eng in engines)
         # positive letters read lam, so they stay with the engine
         eng = engines[1]
         for g in (e(0, 0), f(1, 0)):
-            assert (g, ((f(0, 0), 1),)) not in eng._negative
             eng._act_basis(g, ((f(0, 0), 1),))
             assert (g, ((f(0, 0), 1),)) in eng._cache
+            assert (g, ((f(0, 0), 1),)) not in free._cache
         # Cartan letters are read off the weight of m*v and memoized nowhere
         eng, m = engines[2], ((f(-1, 0), 1),)
         mu = eng.hw.weight() + Weight.from_root(monomial_weight(m))
         for g in CARTAN:
             val = getattr(mu, g.kind)
             assert eng._act_basis(g, m) == ({m: val} if val else {})
-            assert (g, m) not in eng._cache and (g, m) not in eng._negative
+            assert (g, m) not in eng._cache and (g, m) not in free._cache
 
-    def test_negative_letter_memo_does_not_depend_on_the_weight(self):
-        # the same raising actions at two weights, each in a fresh copy of the
-        # order, fill equal memos; afterwards 19 more weights add nothing
+    def test_negative_letter_memo_does_not_depend_on_the_weight(self, fresh_weight_free):
+        # the same raising actions at two weights, each with a fresh engine at
+        # weight zero, fill equal memos; afterwards 19 more weights add nothing
         memos = []
         for hw in (HighestWeight(Fraction(1, 3), Fraction(5, 7)),
                    HighestWeight(Fraction(-3, 2), Fraction(5, 4), Fraction(1, 2), 2)):
-            eng = VermaModule(hw, lambda b: basis_sort_key(b))
-            raise_basis(eng, 5)
-            memos.append(eng._negative)
+            free = fresh_weight_free()
+            raise_basis(VermaModule(hw), 5)
+            memos.append(free._cache)
         assert memos[0] and memos[0] == memos[1]
 
-        def order(b):
-            return basis_sort_key(b)
-
-        raise_basis(VermaModule(HighestWeight(Fraction(1, 3), Fraction(5, 7)), order), 5)
-        size = len(_NEGATIVE_MEMOS[order])
+        free = fresh_weight_free()
+        raise_basis(VermaModule(HighestWeight(Fraction(1, 3), Fraction(5, 7))), 5)
+        size = len(free._cache)
         assert size == len(memos[0])
         for i in range(19):
             hw = HighestWeight(Fraction(i - 9, 1 + i % 4), Fraction(i, 2), i % 3, -i)
-            raise_basis(VermaModule(hw, order), 5)
-        assert len(_NEGATIVE_MEMOS[order]) == size
+            raise_basis(VermaModule(hw), 5)
+        assert len(free._cache) == size
+
+    def test_one_memo_holds_every_weight_free_action(self, fresh_weight_free, monkeypatch):
+        # negative letters never read lam: wherever they act, their actions
+        # are memoized by the engine at weight zero and by no other engine
+        free = fresh_weight_free()
+        seen = set()
+        act_basis = VermaModule._act_basis
+
+        def recorded(self, g, m):
+            if is_negative(g):
+                seen.add((g, m))
+            return act_basis(self, g, m)
+
+        monkeypatch.setattr(VermaModule, "_act_basis", recorded)
+        assert find_singular(HighestWeight(1, 2), (2, 6)).kernel_dim == 1
+        assert w_multiplicity(HighestWeight(2, 3), (4, 4)).submodule_dim
+        assert seen and {key for key in free._cache if is_negative(key[0])} == seen
+        for eng in _ENGINES.values():
+            assert not any(is_negative(g) for g, _ in eng._cache)
 
     def test_engine_registry_keeps_the_newest(self):
         weights = [HighestWeight(n1, 40) for n1 in range(_MAX_ENGINES + 3)]
@@ -396,7 +377,7 @@ class TestEngineMemos:
         assert len(_ENGINES) == _MAX_ENGINES
         assert all(module_for(hw) is eng
                    for hw, eng in zip(weights[3:], engines[3:]))
-        assert (weights[0], basis_sort_key) not in _ENGINES
+        assert weights[0] not in _ENGINES
         assert module_for(weights[0]) is not engines[0]
 
     def test_memoized_basis_matches_fresh_enumeration(self):

@@ -17,10 +17,11 @@ truncation.
 
 The submodule M_f generated by f(0,0)^(n1+1) v is not eliminated: f(0,0)
 is the last PBW letter, so u * f(0,0)^(n1+1) v is the monomial u with its
-f(0,0) exponent raised by n1 + 1.  The monomials of f(0,0) exponent at most
-n1 are then a basis of M(lam)/M_f, and the submodule's dimension at lam - eta
-is the count of the others plus the rank of the rows u * e(-1,0)^(n0+1) v
-restricted to that basis.
+f(0,0) exponent raised by n1 + 1.  The monomials of f(0,0) exponent above
+n1 span M_f and the others are a basis of M(lam)/M_f, in which the words
+u * e(-1,0)^(n0+1) v are straightened: each action drops the terms in M_f.
+The submodule's dimension at lam - eta is the count of the former monomials
+plus the rank of those rows.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 from . import linalg
 from .algebra import e, f, h
 # bench/tracer.py wraps quotient.dot_action by name, so the import stays
 from .roots import dot_action  # noqa: F401
 from .singular import RAISING, _RAISING_DROP, _raising_matrix, dot_orbit_drops
-from .verma import HighestWeight, ModuleVector, dim_oracle, format_monomial, module_for
+from .verma import (HighestWeight, ModuleVector, PBWMonomial, VermaModule, dim_oracle,
+                    format_monomial, module_for)
 
 
 class QuotientSpace(namedtuple("QuotientSpace", "eta ambient_dim submodule_dim quotient_dim")):
@@ -59,6 +62,29 @@ def _require_dominant(hw: HighestWeight) -> tuple[int, int]:
     return int(hw.n1), int(hw.n0)
 
 
+def _in_m_f(m: PBWMonomial, n1: int) -> bool:
+    """Whether m v lies in M_f: its f(0,0) exponent is above n1."""
+    return bool(m) and m[-1][0] == _F00 and m[-1][1] > n1
+
+
+_F00 = f(0, 0)
+# word -> word * v in M(lam)/M_f, per engine; a memo is freed with its
+# engine, which module_for drops when it evicts the engine
+_WORDS: WeakKeyDictionary[VermaModule, dict] = WeakKeyDictionary()
+
+
+def _word_mod_f(engine: VermaModule, memo: dict, n1: int, word: tuple) -> ModuleVector:
+    """word * v in M(lam)/M_f: the leading letter acts on the memoized word
+    one letter shorter, so words sharing a tail are straightened once."""
+    hit = memo.get(word)
+    if hit is None:
+        (lead, a) = word[0]
+        rest = ((lead, a - 1),) + word[1:] if a > 1 else word[1:]
+        out = engine.act(lead, _word_mod_f(engine, memo, n1, rest))
+        hit = memo[word] = ModuleVector._wrap({m: c for m, c in out.items() if not _in_m_f(m, n1)})
+    return hit
+
+
 def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[Fraction]], list[int]]:
     """Rows u * e(-1,0)^(n0+1) v at lam - eta in the basis of M(lam)/M_f, and
     the positions of that basis (f(0,0) exponent <= n1) in the weight space's.
@@ -69,16 +95,15 @@ def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[
     n1, n0 = _require_dominant(hw)
     engine = module_for(hw)
     basis = engine.weight_space_basis(eta)
-    f00 = f(0, 0)
-    kept = [j for j, m in enumerate(basis) if not (m and m[-1][0] == f00 and m[-1][1] > n1)]
+    kept = [j for j, m in enumerate(basis) if not _in_m_f(m, n1)]
     index = {basis[j]: i for i, j in enumerate(kept)}
     rows: list[list[Fraction]] = []
     if eta[0] > n0:
+        memo = _WORDS.setdefault(engine, {(): ModuleVector.highest_weight_vector()})
         for u in engine.weight_space_basis((eta[0] - n0 - 1, eta[1])):
             row = [0] * len(kept)
-            for m, c in engine.apply_word(u + ((e(-1, 0), n0 + 1),)).items():
-                if m in index:
-                    row[index[m]] = c
+            for m, c in _word_mod_f(engine, memo, n1, u + ((e(-1, 0), n0 + 1),)).items():
+                row[index[m]] = c
             rows.append(row)
     return rows, kept
 

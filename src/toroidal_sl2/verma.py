@@ -21,24 +21,24 @@ dimensional: every negative root has delta2-degree <= 0, so factors with
 nonzero delta2-degree can never cancel back to level 0.  Their dimensions
 equal the Kostant partition counts of the horizontal affine subalgebra,
 which ``dim_oracle`` computes by an independent dynamic program (it never
-touches the PBW engine).  Weight spaces at delta2-level < 0 are infinite
-dimensional and are never enumerated.
+touches the PBW engine); each basis is built from those of smaller drops.
+Weight spaces at delta2-level < 0 are infinite dimensional and are never
+enumerated.
 
 Exact arithmetic, once.  Coefficients are ``int`` while integral and
 ``Fraction`` only where a non-integral weight field enters; both print and
 compare alike, so reports do not depend on which one a value is.  Each
-engine memoizes positive letters on monomials and words applied to v (a
-word is its leading letter applied to the memoized word one letter
-shorter, so words sharing a tail are straightened once); Cartan letters
-are read off the weight.  Negative letters and level-0 bases do not depend
-on the weight, and ``module_for`` keeps only the newest engines.  The
-engine at weight zero (``weight_free_engine``), never evicted, memoizes
-every action that does not read the weight: negative letters for every
-engine, and the raising matrices ``singular`` straightens once for all.
+engine memoizes positive letters on monomials, and Cartan letters are read
+off the weight.  Negative letters and level-0 bases do not depend on the
+weight, and ``module_for`` keeps only the newest engines.  The engine at
+weight zero (``weight_free_engine``), never evicted, memoizes every action
+that does not read the weight: negative letters for every engine, and the
+raising matrices ``singular`` straightens once for all.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -154,6 +154,8 @@ def _affine_negative_generators(a0: int, a1: int) -> list[tuple[BasisElement, tu
     return gens
 
 
+# bounded as _level0_basis is; lchar_oracle asks for shifted drops per row
+@lru_cache(maxsize=325)
 def dim_oracle(eta: tuple[int, int]) -> int:
     """Weight-space dimension by an independent partition count.
 
@@ -186,38 +188,31 @@ def dim_oracle(eta: tuple[int, int]) -> int:
 # only on the drop, so this holds such a scan.
 @lru_cache(maxsize=325)
 def _level0_basis(a0: int, a1: int) -> list[PBWMonomial]:
-    """Level-0 canonical monomials of drop (a0, a1), sorted by the order."""
-    gens = _affine_negative_generators(a0, a1)
-    gens.sort(key=lambda g: basis_sort_key(g[0]), reverse=True)
-    out: list[PBWMonomial] = []
-
-    def rec(start: int, r0: int, r1: int, acc: list[tuple[BasisElement, int]]):
-        if r0 == 0 and r1 == 0:
-            out.append(tuple(acc))
-            return
-        for idx in range(start, len(gens)):
-            b, (c0, c1) = gens[idx]
-            if c0 > r0 or c1 > r1:
-                continue
-            top = min(r0 // c0 if c0 else r1, r1 // c1 if c1 else r0)
-            for exp in range(top, 0, -1):
-                acc.append((b, exp))
-                rec(idx + 1, r0 - exp * c0, r1 - exp * c1, acc)
-                acc.pop()
-
-    rec(0, a0, a1, [])
-    out.reverse()  # letters went from the largest key and exponent down
+    """Level-0 canonical monomials of drop (a0, a1), sorted by the order:
+    for each letter b^e, b then e ascending, b^e times the monomials of the
+    smaller drop left whose letters sort below b, a prefix of its basis."""
+    gens = sorted(_affine_negative_generators(a0, a1), key=lambda g: basis_sort_key(g[0]))
+    # every letter of a smaller drop is one of these, ranked by the order
+    rank = {b: i for i, (b, _) in enumerate(gens)}
+    out: list[PBWMonomial] = [] if a0 or a1 else [VACUUM]
+    for i, (b, (c0, c1)) in enumerate(gens):
+        exp = 1
+        while exp * c0 <= a0 and exp * c1 <= a1:
+            rest = _level0_basis(a0 - exp * c0, a1 - exp * c1)
+            stop = bisect_left(rest, i, key=lambda m: rank[m[0][0]] if m else -1)
+            out.extend(((b, exp),) + m for m in rest[:stop])
+            exp += 1
     return out
 
 
 class VermaModule:
     """The module engine for one highest weight.
 
-    All methods are pure.  Positive letters (``_cache``) and words applied
-    to v (``_words``) are memoized per instance, so reusing one engine
-    across a scan is much faster than constructing fresh ones; negative
-    letters go to the ``_cache`` of the engine at weight zero, shared by
-    every engine, and Cartan letters are not memoized.
+    All methods are pure.  Positive letters (``_cache``) are memoized per
+    instance, so reusing one engine across a scan is much faster than
+    constructing fresh ones; negative letters go to the ``_cache`` of the
+    engine at weight zero, shared by every engine, and Cartan letters are
+    not memoized.
     """
 
     def __init__(self, hw: HighestWeight):
@@ -227,7 +222,6 @@ class VermaModule:
                      for kind, val in (("h", hw.n1), ("c1", hw.k1), ("c2", Fraction(0)),
                                        ("d1", hw.d1), ("d2", hw.d2))}
         self._cache: dict[tuple[BasisElement, PBWMonomial], dict[PBWMonomial, Rational]] = {}
-        self._words: dict[tuple[tuple[BasisElement, int], ...], ModuleVector] = {}
 
     # -- single generator action ------------------------------------------
 
@@ -299,26 +293,16 @@ class VermaModule:
 
     def apply_word(self, word: Sequence[tuple[BasisElement, int]],
                    v: Optional[ModuleVector] = None) -> ModuleVector:
-        """Apply a product of powers of generators, rightmost letter first.
-
-        Without ``v`` the word acts on v and the result is memoized per word.
+        """Apply a product of powers of generators to ``v``, rightmost letter
+        first, one ``act`` per letter.  Without ``v`` the word acts on the
+        highest weight vector; nothing is memoized.
         """
-        if v is not None:
-            for b, exp in reversed(list(word)):
-                for _ in range(exp):
-                    v = self.act(b, v)
-            return v
-        word = tuple(word)
-        hit = self._words.get(word)
-        if hit is None:
-            if not word:
-                hit = ModuleVector.highest_weight_vector()
-            else:
-                (lead, a) = word[0]
-                rest = ((lead, a - 1),) + word[1:] if a > 1 else word[1:]
-                hit = self.act(lead, self.apply_word(rest)) if a > 0 else self.apply_word(rest)
-            self._words[word] = hit
-        return hit
+        if v is None:
+            v = ModuleVector.highest_weight_vector()
+        for b, exp in reversed(list(word)):
+            for _ in range(exp):
+                v = self.act(b, v)
+        return v
 
     # -- weight spaces ------------------------------------------------------
 

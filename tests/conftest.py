@@ -10,6 +10,7 @@ settings.load_profile("suite")
 
 from toroidal_sl2 import (HighestWeight, RootVector, VermaModule, basis_sort_key, e, f, h,
                           is_positive, module_for, singular, verma, weight_of)
+from toroidal_sl2.verma import _affine_negative_generators
 from toroidal_sl2.algebra import C1, C2, D1, D2, is_cartan
 
 SEED = int(os.environ.get("TV_SEED", "20250810"))
@@ -87,6 +88,33 @@ def random_canonical_monomial(rng, max_factors=3, max_exp=2, mbound=2, nmin=-2):
                for _ in range(rng.randint(0, max_factors))}
     ordered = sorted(letters, key=basis_sort_key, reverse=True)
     return tuple((b, rng.randint(1, max_exp)) for b in ordered)
+
+
+def level0_basis_reference(a0, a1):
+    """Reference enumeration of the level-0 basis of drop (a0, a1): a depth-first
+    search over the letters from the largest key down, each taken with every
+    exponent that fits the drop left, largest first, then the list reversed."""
+    gens = _affine_negative_generators(a0, a1)
+    gens.sort(key=lambda g: basis_sort_key(g[0]), reverse=True)
+    out = []
+
+    def rec(start, r0, r1, acc):
+        if r0 == 0 and r1 == 0:
+            out.append(tuple(acc))
+            return
+        for idx in range(start, len(gens)):
+            b, (c0, c1) = gens[idx]
+            if c0 > r0 or c1 > r1:
+                continue
+            top = min(r0 // c0 if c0 else r1, r1 // c1 if c1 else r0)
+            for exp in range(top, 0, -1):
+                acc.append((b, exp))
+                rec(idx + 1, r0 - exp * c0, r1 - exp * c1, acc)
+                acc.pop()
+
+    rec(0, a0, a1, [])
+    out.reverse()  # letters went from the largest key and exponent down
+    return out
 
 
 def generator_words(hw):

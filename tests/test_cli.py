@@ -214,6 +214,13 @@ GOLDEN_STDOUT = [
      "6f3a52458e1e10d56293a8eb03086e0119df5b5dceed11fadbed87c489f26d2c"),
     (("quotient-char", "--weight", W33, "--depth", "8"),
      "50b4b7e3ef01017d9aeab1ef2740a31dc62924e2629296274b8aba9b25ccb0e8"),
+    # recorded before level-0 bases were built from smaller bases: every
+    # basis to height 16, and a kernel vector of 47 terms in a 51-monomial
+    # basis, whose reduced echelon form fixes the basis order at height 12
+    (("dims", "--depth", "16"),
+     "65360775b13f379c063a70c415716fc60f0953e20abfa688db6804788931bce2"),
+    (("singular", "--weight", W01, "--eta", "4,8"),
+     "06140e4e4c553b2e486ba228249cd4b38718462b3e1ba040c69ec6f5d64140cb"),
 ]
 
 
@@ -247,6 +254,8 @@ GOLDEN_STDERR = [
     "5c51e4ec67d915641712883180a6952ffd25f7bbe18d91484b2531f2ac9e37ef",  # 24 singular
     "29697fd1f1fdcb260c8ca6976ecc27fc2864f1699a5b1ba9f6698f1c8ec967c0",  # 25 quotient-char
     "29697fd1f1fdcb260c8ca6976ecc27fc2864f1699a5b1ba9f6698f1c8ec967c0",  # 26 quotient-char
+    "2ad799e4ded48fa9b702977625ce77cf881b01836e32004a9929377cb292ac15",  # 27 dims
+    "7cf64300657d12eeaa9d6590cff08811e6f8cc127e9abed3424cc61409f6ab43",  # 28 singular
 ]
 
 

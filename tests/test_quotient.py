@@ -10,7 +10,8 @@ from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key, demo_infi
                           submodule_dim_at, w_multiplicity)
 from toroidal_sl2.quotient import _submodule_rows
 from toroidal_sl2.singular import _RAISING_DROP, RAISING, _raising_matrix
-from toroidal_sl2.verma import VermaModule, _affine_negative_generators, weight_free_engine
+from toroidal_sl2.verma import (_ENGINES, _MAX_ENGINES, VermaModule, _affine_negative_generators,
+                                weight_free_engine)
 
 from conftest import generator_words, submodule_span
 
@@ -106,10 +107,11 @@ def test_character_match_depth_twelve(n1, k1):
 
 
 def test_submodule_rows_match_words_applied_to_generators():
-    # each oracle row is the memoized word u*s; the reference applies u to the
-    # generator vector s step by step on an engine with no word memo.  The
-    # quotient's rows are the e rows restricted to f(0,0) exponents <= n1 (no
-    # image is zero, as U(n-) acts freely)
+    # each oracle row is the word u*s applied to v; the reference applies u to
+    # the generator vector s step by step on another engine.  The quotient's
+    # rows, straightened modulo M_f through its own word memo, are the e rows
+    # restricted to f(0,0) exponents <= n1 (no image is zero, as U(n-) acts
+    # freely)
     hw = HighestWeight(1, 2)
     reference = VermaModule(hw)
     for eta in etas_up_to(10):
@@ -131,7 +133,8 @@ def test_submodule_rows_match_words_applied_to_generators():
         assert kept == [j for j, m in enumerate(basis) if dict(m).get(f(0, 0), 0) <= 1]
         e_rows, _ = submodule_span(hw, eta, generator_words(hw)[1:])
         assert rows == [[row[j] for j in kept] for row in e_rows]
-    assert not reference._words
+    assert module_for(hw) in quotient._WORDS
+    assert reference not in quotient._WORDS
 
 
 @pytest.mark.parametrize("n1,k1", [(1, 2), (0, 1), (3, 3)])
@@ -151,11 +154,42 @@ def test_f_generator_span_is_a_coordinate_subspace(n1, k1):
             assert engine.apply_word(u + word) == ModuleVector.monomial(raised)
 
 
-@pytest.mark.parametrize("n1,k1", [(1, 2), (0, 1), (2, 3), (0, 0), (3, 3), (1, 4), (2, 2)])
+SPAN_WEIGHTS = [(1, 2), (0, 1), (2, 3), (0, 0), (3, 3), (1, 4), (2, 2)]
+
+
+@pytest.mark.parametrize("n1,k1", SPAN_WEIGHTS)
 def test_submodule_dim_is_the_rank_of_both_generators_span(n1, k1):
     hw = HighestWeight(n1, k1)
     for eta in etas_up_to(12):
         assert submodule_dim_at(hw, eta) == linalg.rank(submodule_span(hw, eta)[0])
+
+
+@pytest.mark.parametrize("n1,k1", SPAN_WEIGHTS)
+def test_memoized_words_are_straightened_modulo_m_f(n1, k1, monkeypatch):
+    # every word the quotient memoizes, on an engine of its own, is the word
+    # applied to v with its monomials of f(0,0) exponent above n1 removed
+    hw = HighestWeight(n1, k1)
+    engine = VermaModule(hw)
+    monkeypatch.setattr(quotient, "module_for", lambda _: engine)
+    for eta in etas_up_to(12):
+        _submodule_rows(hw, eta)
+    reference = VermaModule(hw)
+    memo = quotient._WORDS[engine]
+    assert memo
+    for word, image in memo.items():
+        full = reference.apply_word(word)
+        assert image.terms == {m: c for m, c in full.items() if dict(m).get(f(0, 0), 0) <= n1}
+        assert all(dict(m).get(f(0, 0), 0) <= n1 for m in image.terms)
+
+
+def test_word_memo_lives_as_long_as_its_engine():
+    hw = HighestWeight(2, 3)
+    _submodule_rows(hw, (4, 4))
+    assert module_for(hw) in quotient._WORDS
+    for i in range(_MAX_ENGINES):  # weights no other test uses
+        module_for(HighestWeight(Fraction(1, 7) + i, 0))
+    assert hw not in _ENGINES
+    assert {id(eng) for eng in quotient._WORDS.keys()} <= {id(eng) for eng in _ENGINES.values()}
 
 
 def test_integral_weight_straightens_over_the_integers():

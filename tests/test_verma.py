@@ -12,8 +12,8 @@ from toroidal_sl2.roots import CartanElement, Weight
 from toroidal_sl2.verma import (_ENGINES, _MAX_ENGINES, VermaModule, _level0_basis,
                                 weight_free_engine)
 
-from conftest import (is_canonical, is_negative, monomial_weight, random_basis_element,
-                      random_canonical_monomial, random_negative_element)
+from conftest import (is_canonical, is_negative, level0_basis_reference, monomial_weight,
+                      random_basis_element, random_canonical_monomial, random_negative_element)
 from test_straightening_oracle import brute_force_apply
 
 
@@ -268,8 +268,9 @@ class TestSecondOrder:
 class TestEngineMemos:
     @pytest.mark.parametrize("hw", [HighestWeight(1, 2),
                                     HighestWeight(Fraction(1, 2), Fraction(3, 4))])
-    def test_memoized_word_matches_step_by_step_actions(self, rng, hw):
-        memo, plain = VermaModule(hw), VermaModule(hw)
+    def test_word_matches_step_by_step_actions(self, rng, hw):
+        # apply_word memoizes nothing: each call folds its word from v again
+        eng, plain = VermaModule(hw), VermaModule(hw)
         for _ in range(60):
             word = []
             for _ in range(rng.randint(0, 4)):
@@ -284,9 +285,8 @@ class TestEngineMemos:
             for b, exp in reversed(word):
                 for _ in range(exp):
                     expected = plain.act(b, expected)
-            assert memo.apply_word(word) == expected
-            assert memo.apply_word(tuple(word)) is memo.apply_word(word)
-        assert not plain._words
+            assert eng.apply_word(word) == expected == eng.apply_word(tuple(word), V)
+            assert eng.apply_word(tuple(word)) is not eng.apply_word(word)
 
     def test_bases_are_shared_by_engines_of_one_order(self):
         one = VermaModule(HighestWeight(1, 2))
@@ -295,6 +295,20 @@ class TestEngineMemos:
             basis = one.weight_space_basis(eta)
             assert two.weight_space_basis(eta) is basis
             assert basis == _level0_basis.__wrapped__(*eta)
+
+    def test_bases_match_the_reference_enumeration(self):
+        for height in range(17):
+            for a0 in range(height + 1):
+                assert _level0_basis(a0, height - a0) == level0_basis_reference(a0, height - a0)
+
+    def test_cold_basis_matches_warm(self):
+        # warm: every smaller drop is cached; cold: the recursion builds them
+        for height in range(21):
+            for a0 in range(height + 1):
+                _level0_basis(a0, height - a0)
+        warm = _level0_basis(10, 10)
+        _level0_basis.cache_clear()
+        assert _level0_basis(10, 10) == warm
 
     def test_bases_are_sorted_and_complete(self):
         for height in range(13):

@@ -24,7 +24,7 @@ from . import __version__
 from .algebra import bracket, format_element, parse_element, basis_sort_key
 from .quotient import (demo_infinite_dim, demo_nonintegrability, lchar_oracle,
                        w_multiplicity)
-from .reducibility import kk_pairs, sufficient_kmax
+from .reducibility import ReducibilityReport, kk_pairs, sufficient_kmax
 from .roots import (RootVector, Weight, classify, dot_action, is_positive,
                     reflect, roots_in_box, NOT_ROOT)
 from .singular import find_singular, orbit_report, scan_drops
@@ -157,10 +157,13 @@ def _map_etas(job: Callable, hw: HighestWeight, etas: list[tuple[int, int]],
               jobs: int) -> list:
     """[job(hw, eta) for eta in etas], on at most ``jobs`` processes.
 
-    The pool never has more workers than the machine has processors; with
-    one worker the jobs run in this process.
+    The pool never has more workers than the processors this process may
+    run on (its CPU affinity, where the platform reports one); with one
+    worker the jobs run in this process.
     """
-    workers = min(jobs, os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, cpus)
     if workers == 1:
         return [job(hw, eta) for eta in etas]
     from concurrent.futures import ProcessPoolExecutor  # --jobs 1 never pays for it
@@ -197,8 +200,8 @@ def _run_reducible(args) -> Report:
     exhaustive = bound >= sufficient_kmax(hw)
     # below the decision bound, finding no witness proves nothing
     verdict = bool(witnesses) if exhaustive else (bool(witnesses) or None)
-    result = {"reducible": verdict, "witnesses": [p.to_json() for p in witnesses],
-              "scan_bound": bound, "exhaustive": exhaustive}
+    result = {**ReducibilityReport(verdict, tuple(witnesses), bound).to_json(),
+              "exhaustive": exhaustive}
     shown = "unknown (bound not exhaustive)" if verdict is None else verdict
     return ({"weight": w.to_json(), "kmax": args.kmax}, result,
             f"reducible: {shown} ({len(witnesses)} witnesses, bound {bound})")

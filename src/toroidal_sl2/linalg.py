@@ -3,17 +3,17 @@
 Each row is scaled to a primitive integer row and kept sparse, as a dict
 column -> value.  Every elimination step is one row update: a row with
 entry f in the pivot column becomes the primitive part of
-(p/g) row - (f/g) pivot row, p the pivot and g = gcd(p, f).  Rows with
-one entry are pivots first; for them the update only deletes the column
-(up to sign), so their columns leave every other row in one pass,
-repeated while a pass leaves rows with one entry.  Then pivots are
-chosen row first: the active row with the fewest nonzeros (taken from a
-heap), in it the column with the fewest active rows, then the smallest
-entry, ties to the lowest index; only the rows meeting the pivot column
-are updated.  Kernel vectors come from the pivot rows by
-back-substitution and are returned in a form that does not depend on the
-pivot order: the reduced row echelon form of the kernel, reached by the
-same row update, each vector a sparse primitive integer row.
+(p/g) row - (f/g) pivot row, p the pivot and g = gcd(p, f); when p
+divides f the multiplier p/g is 1 and the row is copied, not scaled.
+Pivots are chosen row first: the active row with the fewest nonzeros
+(taken from a heap), in it the column with the fewest active rows, then
+the smallest entry, ties to the lowest index; only the rows meeting the
+pivot column are updated.  So rows with one entry are pivots first, as
+the sparsest rows, and their updates only delete a column.  Kernel
+vectors come from the pivot rows by back-substitution and are returned
+in a form that does not depend on the pivot order: the reduced row
+echelon form of the kernel, reached by the same row update, each vector
+a sparse primitive integer row.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _update(row: dict[int, int], prow: dict[int, int], pc: int) -> dict[int, int
     p, f = prow[pc], row[pc]
     g = gcd(p, f)
     a, b = p // g, f // g
-    new = {j: a * v for j, v in row.items()}
+    new = dict(row) if a == 1 else {j: a * v for j, v in row.items()}
     for j, v in prow.items():
         w = new.get(j, 0) - b * v
         if w:
@@ -50,35 +50,6 @@ def _update(row: dict[int, int], prow: dict[int, int], pc: int) -> dict[int, int
     return _content_free(new)
 
 
-def _peel(active: dict[int, dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """Pivots (column, row) from the rows of ``active`` with one entry, which
-    leave it; of two in one column the lower index is the pivot and the
-    other vanishes.  Their columns leave the other rows in one pass, repeated
-    while a pass leaves rows with one entry."""
-    pivots = []
-    units = [i for i, row in active.items() if len(row) == 1]
-    while units:
-        cols: set[int] = set()
-        for i in units:
-            row = active.pop(i)
-            (j,) = row
-            if j not in cols:
-                cols.add(j)
-                pivots.append((j, row))
-        units = []
-        for i, row in list(active.items()):
-            if cols.isdisjoint(row):
-                continue
-            new = {j: v for j, v in row.items() if j not in cols}
-            if not new:
-                del active[i]
-                continue
-            active[i] = _content_free(new)
-            if len(new) == 1:
-                units.append(i)
-    return pivots
-
-
 def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     """Pivots (column, row) in elimination order.
 
@@ -86,7 +57,7 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     rows are in echelon form when read in this order.
     """
     active = {i: row for i, row in enumerate(rows) if row}
-    pivots = _peel(active)
+    pivots = []
     rows_in: dict[int, set[int]] = {}
     for i, row in active.items():
         for j in row:

@@ -59,7 +59,7 @@ class ResonancePair(NamedTuple):
 
 
 class ReducibilityReport(NamedTuple):
-    verdict: bool
+    verdict: Optional[bool]  # None: a scan below the decision bound found no witness
     witnesses: tuple[ResonancePair, ...]
     scan_bound: int
 

@@ -346,6 +346,8 @@ class RecordingPool:
 @pytest.mark.parametrize("cpus,jobs,pool_size", [(2, "64", 2), (1, "8", None),
                                                  (4, "3", 3), (None, "2", None)])
 def test_jobs_capped_at_cpu_count(command, cpus, jobs, pool_size, monkeypatch):
+    # as on platforms that report no CPU affinity
+    monkeypatch.delattr("toroidal_sl2.cli.os.sched_getaffinity", raising=False)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("toroidal_sl2.cli.os.cpu_count", lambda: cpus)
@@ -353,6 +355,18 @@ def test_jobs_capped_at_cpu_count(command, cpus, jobs, pool_size, monkeypatch):
     code, out, _ = invoke(command[0], "--weight", W11, *command[1:], "--jobs", jobs)
     assert code == 0 and out == serial
     assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
+
+@pytest.mark.parametrize("command", [("singular", "--depth", "2"),
+                                     ("quotient-char", "--depth", "2")])
+def test_jobs_capped_at_cpu_affinity(command, monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("toroidal_sl2.cli.os.cpu_count", lambda: 64)
+    monkeypatch.setattr("toroidal_sl2.cli.os.sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    code, _, _ = invoke(command[0], "--weight", W11, *command[1:], "--jobs", "8")
+    assert code == 0 and RecordingPool.sizes == [3]
 
 
 # Each case breaks one internal check from outside the package; under
@@ -450,6 +464,19 @@ def test_one_job_never_imports_the_process_pool():
         proc = subprocess.run([sys.executable, "-c", script, *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_jobs_are_capped_by_cpu_affinity():
+    # pinned to one processor, --jobs 4 runs in this process, whatever
+    # os.cpu_count() says of the machine
+    script = ("import os, sys\nos.sched_getaffinity = lambda pid: {0}\n"
+              "from toroidal_sl2 import cli\n"
+              "assert cli.run(sys.argv[1:]) == 0\n"
+              "assert 'concurrent.futures.process' not in sys.modules\n")
+    argv = ("singular", "--weight", W11, "--depth", "2", "--jobs", "4")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_never_loads_dataclasses_or_inspect():

@@ -5,6 +5,7 @@ from math import gcd, lcm
 import random
 
 from toroidal_sl2 import HighestWeight, linalg, module_for
+from toroidal_sl2.quotient import _submodule_rows
 from toroidal_sl2.singular import RAISING, _raising_matrix
 
 from conftest import submodule_span
@@ -146,8 +147,8 @@ def low_rank_matrix(rng, nrows, ncols, rank, density):
 
 def unit_heavy_matrix(rng, ncols):
     """Rows with one entry on random columns, two of them in one column, a
-    chain of rows each left with one entry once the one before is peeled,
-    rows the peel empties, and a few denser rows."""
+    chain of rows each left with one entry once the one before is a pivot,
+    rows those pivots empty, and a few denser rows."""
     def row(support):
         r = [Fraction(0)] * ncols
         for j in support:
@@ -223,39 +224,18 @@ def test_row_first_pivoting_bounds_row_updates(monkeypatch):
     assert 0 < updates <= 5479
 
 
-def test_one_entry_rows_leave_in_one_pass(monkeypatch):
+def test_submodule_span_rank_at_8_8():
     # submodule span at eta (8, 8), 398 x 480 of rank 380 with 202 rows of
-    # one entry; pivoting on those one at a time took 3,365 row updates
+    # one entry
     rows, basis = submodule_span(HighestWeight(1, 2), (8, 8))
     assert (len(rows), len(basis)) == (398, 480)
-    updates = 0
-    update = linalg._update
-
-    def counted(row, prow, pc):
-        nonlocal updates
-        updates += 1
-        return update(row, prow, pc)
-
-    monkeypatch.setattr(linalg, "_update", counted)
     assert linalg.rank(rows) == 380
-    assert 0 < updates <= 1600
-
-
-def test_peel_cascades_and_drops_repeated_columns():
-    active = {0: {0: 2, 1: 3}, 1: {1: -1}, 2: {0: 1, 2: 1, 3: 4}, 3: {1: 1},
-              4: {1: 5, 2: 7}, 5: {0: 1, 1: 2, 3: 1}, 6: {0: 3, 2: 5}}
-    # rows 0 and 4, then row 2, are left with one entry; rows 3 and 5 end
-    # in the column of a lower row, and row 6 is emptied
-    assert linalg._peel(active) == [(1, {1: -1}), (0, {0: 1}), (2, {2: 1}),
-                                    (3, {3: 1})]
-    assert active == {}
 
 
 def _eliminate_by_scan(rows):
-    """Reference pivot order: the same peel of one-entry rows, then a linear
-    scan over the active rows per pivot."""
+    """Reference pivot order: a linear scan over the active rows per pivot."""
     active = {i: row for i, row in enumerate(rows) if row}
-    pivots = linalg._peel(active)
+    pivots = []
     rows_in = {}
     for i, row in active.items():
         for j in row:
@@ -309,3 +289,17 @@ def test_heap_pivot_order_matches_linear_scan():
     sparse = [linalg._primitive(enumerate(row)) for row in span]
     assert sum(len(row) == 1 for row in sparse) == 87
     assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
+    # and on the rows the quotient eliminates, 11 of whose 50 have one entry
+    rows, kept = _submodule_rows(HighestWeight(1, 2), (9, 4))
+    sparse = [linalg._primitive(enumerate(row)) for row in rows]
+    assert (len(sparse), len(kept)) == (50, 42)
+    assert sum(len(row) == 1 for row in sparse) == 11
+    pivots = linalg._eliminate(sparse)
+    assert pivots == _eliminate_by_scan(sparse) and len(pivots) == 42
+    # and on one-entry rows that cascade: each unit pivot leaves other rows
+    # with one entry; row 3 repeats the unit column of row 1, rows 2 and 5
+    # end in one column, and row 6 is emptied
+    cascade = [{0: 2, 1: 3}, {1: -1}, {0: 1, 2: 1, 3: 4}, {1: 1}, {1: 5, 2: 7},
+               {0: 1, 1: 2, 3: 1}, {0: 3, 2: 5}]
+    pivots = linalg._eliminate(cascade)
+    assert pivots == _eliminate_by_scan(cascade) and len(pivots) == 4

@@ -91,39 +91,32 @@ def _weight_term(hw: HighestWeight, g: BasisElement) -> Rational:
     return n.numerator if n.denominator == 1 else n
 
 
-def _image(free: VermaModule, g: BasisElement, n: Rational,
-           m: PBWMonomial) -> dict[PBWMonomial, Rational]:
-    """act(g, m*v) at lam: the image at weight zero plus the lowering term."""
-    image = free.act(g, ModuleVector.monomial(m)).terms
-    if n:
-        partner = _CARTAN_PARTNER[g]
-        for k, (b, a) in enumerate(m):
-            if b == partner:
-                lowered = m[:k] + (((b, a - 1),) if a > 1 else ()) + m[k + 1:]
-                add_scaled(image, {lowered: a}, n)
-    return image
-
-
 def _raising_matrix(engine: VermaModule, g: BasisElement,
                     basis: Sequence[PBWMonomial],
                     eta: tuple[int, int]) -> list[list[Rational]]:
-    """Matrix of act(g, .) from the eta space to the eta - drop(g) space,
-    straightened at weight zero (see the module docstring)."""
+    """Matrix of act(g, .) from the eta space to the eta - drop(g) space: each
+    image straightened once at weight zero, plus the lowering term (see the
+    module docstring).  Where eta - drop(g) leaves the cone the matrix has
+    no rows, and every image must be zero."""
     free = weight_free_engine()
     n = _weight_term(engine.hw, g)
+    partner = _CARTAN_PARTNER[g]
     d0, d1 = _RAISING_DROP[g]
     t0, t1 = eta[0] - d0, eta[1] - d1
-    if t0 < 0 or t1 < 0:
-        for m in basis:
-            if _image(free, g, n, m):
-                raise AssertionError(f"{g!r} does not kill {format_monomial(m)} at eta "
-                                     f"{eta}, but its target weight space is empty")
-        return []
-    target = free.weight_space_basis((t0, t1))
+    target = free.weight_space_basis((t0, t1)) if t0 >= 0 and t1 >= 0 else []
     index = {m: i for i, m in enumerate(target)}
     rows = [[0] * len(basis) for _ in target]
     for j, m in enumerate(basis):
-        for m2, c in _image(free, g, n, m).items():
+        image = free.act(g, ModuleVector.monomial(m)).terms
+        if n:
+            for k, (b, a) in enumerate(m):
+                if b == partner:
+                    lowered = m[:k] + (((b, a - 1),) if a > 1 else ()) + m[k + 1:]
+                    add_scaled(image, {lowered: a}, n)
+        if image and not target:
+            raise AssertionError(f"{g!r} does not kill {format_monomial(m)} at eta "
+                                 f"{eta}, but its target weight space is empty")
+        for m2, c in image.items():
             rows[index[m2]][j] = c
     return rows
 

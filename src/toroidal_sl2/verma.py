@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional, Sequence, Union
 
 from .algebra import (ALPHA_COEFF, AlgebraElement, BasisElement, H,
@@ -154,7 +154,7 @@ def _affine_negative_generators(a0: int, a1: int) -> list[tuple[BasisElement, tu
     return gens
 
 
-# bounded as _level0_basis is; lchar_oracle asks for shifted drops per row
+# bounded, as it reads no other entry; lchar_oracle asks for shifted drops per row
 @lru_cache(maxsize=325)
 def dim_oracle(eta: tuple[int, int]) -> int:
     """Weight-space dimension by an independent partition count.
@@ -184,9 +184,9 @@ def dim_oracle(eta: tuple[int, int]) -> int:
     return table[a0][a1]
 
 
-# A depth-24 scan visits 325 drops (heights 0..24), and a basis depends
-# only on the drop, so this holds such a scan.
-@lru_cache(maxsize=325)
+# Unbounded: a basis reads every smaller basis, so evicting one rebuilds its whole
+# cone, and a count of bases bounds no memory (one deep basis outweighs hundreds).
+@cache
 def _level0_basis(a0: int, a1: int) -> list[PBWMonomial]:
     """Level-0 canonical monomials of drop (a0, a1), sorted by the order:
     for each letter b^e, b then e ascending, b^e times the monomials of the

@@ -261,7 +261,7 @@ def block_nullspace_singular_dim(hw, eta, words=None):
             - len(independent(submodule_span(hw, eta, words)[0])))
 
 
-@pytest.mark.parametrize("n1,k1", [(1, 2), (0, 1), (3, 3)])
+@pytest.mark.parametrize("n1,k1", [(1, 2), (0, 1), (3, 3), (0, 0), (2, 5)])
 def test_quotient_singular_dim_matches_block_nullspace(n1, k1):
     hw = HighestWeight(n1, k1)
     for eta in etas_up_to(5):

@@ -310,6 +310,12 @@ class TestEngineMemos:
         _level0_basis.cache_clear()
         assert _level0_basis(10, 10) == warm
 
+    def test_deep_basis_builds_each_smaller_drop_once(self):
+        # a bounded cache of 325 bases rebuilt evicted ones here (388 misses)
+        _level0_basis.cache_clear()
+        assert _level0_basis(330, 0) == level0_basis_reference(330, 0)
+        assert _level0_basis.cache_info().misses == 331
+
     def test_bases_are_sorted_and_complete(self):
         for height in range(13):
             for a0 in range(height + 1):

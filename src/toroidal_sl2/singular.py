@@ -31,9 +31,13 @@ Every other bracket is a negative letter, and straightening negative
 letters never reads lam.  So R_g(lam) = R_g(0) + n * L_g with n = n1 for
 e(0,0) and n0 for f(1,0), where L_g maps a monomial holding that letter
 to the power a to a times the monomial with its exponent lowered by one:
-the affine analogue of e f^a v = a (n1 - a + 1) f^(a-1) v in sl2.  Each
-kernel vector is still checked with ``act`` at lam, which straightens
-from scratch, so every reported singular vector confirms the identity.
+the affine analogue of e f^a v = a (n1 - a + 1) f^(a-1) v in sl2.  The
+columns of R_g(0) are read straight from the weight-zero engine's memo,
+and with n = p/q in lowest terms the matrix built is q R_g(0) + p L_g:
+integers, with the kernel and row space of R_g(lam), and R_g(lam) itself
+at integral weights.  Each kernel vector is still checked with ``act`` at
+lam, which straightens from scratch, so every reported singular vector
+confirms the identity.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .algebra import BasisElement, add_scaled, e, f
+from .algebra import BasisElement, e, f
 from .roots import Rational, Weight, dot_action, q1_coords, root_from_q1, weight_as_root
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, VermaModule,
                     format_monomial, module_for, weight_free_engine)
@@ -87,19 +91,19 @@ class SingularCertificate(NamedTuple):
 
 def _weight_term(hw: HighestWeight, g: BasisElement) -> Rational:
     """lam of [g, partner of g]: n1 for e(0,0), n0 for f(1,0)."""
-    n = hw.n1 if g == RAISING[0] else hw.n0
-    return n.numerator if n.denominator == 1 else n
+    return hw.n1 if g == RAISING[0] else hw.n0
 
 
 def _raising_matrix(engine: VermaModule, g: BasisElement,
-                    basis: Sequence[PBWMonomial],
-                    eta: tuple[int, int]) -> list[list[Rational]]:
-    """Matrix of act(g, .) from the eta space to the eta - drop(g) space: each
-    image straightened once at weight zero, plus the lowering term (see the
-    module docstring).  Where eta - drop(g) leaves the cone the matrix has
-    no rows, and every image must be zero."""
+                    basis: Sequence[PBWMonomial], eta: tuple[int, int]) -> list[list[int]]:
+    """q R_g(0) + p L_g, n = p/q in lowest terms (see the module docstring):
+    an integer matrix with the kernel and row space of act(g, .) from the
+    eta space to the eta - drop(g) space, equal to it at integral weights.
+    Where eta - drop(g) leaves the cone the matrix has no rows, and every
+    image must be zero."""
     free = weight_free_engine()
     n = _weight_term(engine.hw, g)
+    p, q = n.numerator, n.denominator
     partner = _CARTAN_PARTNER[g]
     d0, d1 = _RAISING_DROP[g]
     t0, t1 = eta[0] - d0, eta[1] - d1
@@ -107,17 +111,17 @@ def _raising_matrix(engine: VermaModule, g: BasisElement,
     index = {m: i for i, m in enumerate(target)}
     rows = [[0] * len(basis) for _ in target]
     for j, m in enumerate(basis):
-        image = free.act(g, ModuleVector.monomial(m)).terms
-        if n:
-            for k, (b, a) in enumerate(m):
-                if b == partner:
-                    lowered = m[:k] + (((b, a - 1),) if a > 1 else ()) + m[k + 1:]
-                    add_scaled(image, {lowered: a}, n)
-        if image and not target:
+        image = free._act_basis(g, m)
+        # the partner letter to the power a, lowered by one, times a
+        lowering = [(m[:k] + (((b, a - 1),) if a > 1 else ()) + m[k + 1:], a)
+                    for k, (b, a) in enumerate(m) if b == partner] if p else []
+        if (image or lowering) and not target:
             raise AssertionError(f"{g!r} does not kill {format_monomial(m)} at eta "
                                  f"{eta}, but its target weight space is empty")
         for m2, c in image.items():
-            rows[index[m2]][j] = c
+            rows[index[m2]][j] = q * c
+        for m2, a in lowering:
+            rows[index[m2]][j] += p * a
     return rows
 
 
@@ -126,7 +130,7 @@ def find_singular(hw: HighestWeight, eta: tuple[int, int]) -> SingularCertificat
     AssertionError if one is not killed by both raising operators."""
     engine = module_for(hw)
     basis = engine.weight_space_basis(eta)
-    stacked: list[list[Rational]] = []
+    stacked: list[list[int]] = []
     for g in RAISING:
         stacked.extend(_raising_matrix(engine, g, basis, eta))
     kernel = [ModuleVector({basis[j]: c for j, c in x.items()})

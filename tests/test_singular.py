@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from toroidal_sl2 import (HighestWeight, ModuleVector, SingularCertificate, cli, e, f,
-                          find_singular, h, module_for, orbit_report, scan_weights,
-                          singular)
+                          find_singular, h, is_reducible, linalg, module_for, orbit_report,
+                          scan_weights, singular)
 from toroidal_sl2.roots import dot_action, q1_coords, weight_as_root
 from toroidal_sl2.singular import (_RAISING_DROP, RAISING, _raising_matrix, dot_orbit_drops,
                                    dot_orbit_etas, scan_drops)
@@ -91,8 +91,8 @@ def _random_rational(rng, low, high):
 
 
 def test_raising_matrix_matches_act_at_the_weight(rng):
-    # R_g(lam) = R_g(0) + n * L_g, against straightening at lam; fresh
-    # engines, so no action that reads lam comes from another weight's memo
+    # q R_g(0) + p L_g = q R_g(lam), n = p/q, against straightening at lam;
+    # fresh engines, so no action that reads lam comes from another weight's memo
     for _ in range(50):
         hw = HighestWeight(_random_rational(rng, -9, 9), _random_rational(rng, 0, 9),
                            _random_rational(rng, -5, 5), _random_rational(rng, -5, 5))
@@ -100,8 +100,57 @@ def test_raising_matrix_matches_act_at_the_weight(rng):
         for eta in scan_drops(0, 10):
             basis = engine.weight_space_basis(eta)
             for g in RAISING:
-                assert (_raising_matrix(engine, g, basis, eta)
-                        == _reference_raising_matrix(engine, g, basis, eta)), (hw, eta, g)
+                q = singular._weight_term(hw, g).denominator
+                reference = [[q * c for c in row]
+                             for row in _reference_raising_matrix(engine, g, basis, eta)]
+                assert _raising_matrix(engine, g, basis, eta) == reference, (hw, eta, g)
+
+
+def test_raising_matrix_is_integral_and_exact_at_integral_weights():
+    # no Fraction at rational weights, and the action itself where n is an
+    # integer, as in every quotient_singular_dim call
+    for hw in [HighestWeight(Fraction(-7, 3), Fraction(5, 2)),
+               HighestWeight(Fraction(1, 2), Fraction(1, 4), Fraction(2, 3)),
+               HighestWeight(-3, 0), HighestWeight(4, 1, Fraction(1, 2), Fraction(-2, 3)),
+               HighestWeight(2, Fraction(7, 3))]:
+        engine = VermaModule(hw)
+        for eta in scan_drops(0, 8):
+            basis = engine.weight_space_basis(eta)
+            for g in RAISING:
+                matrix = _raising_matrix(engine, g, basis, eta)
+                assert all(type(c) is int for row in matrix for c in row), (hw, eta, g)
+                if singular._weight_term(hw, g).denominator == 1:
+                    assert matrix == _reference_raising_matrix(engine, g, basis, eta)
+
+
+def test_kernels_from_a_warm_memo_match_act_at_the_weight(fresh_weight_free, rng):
+    # rational weights drawn as the benchmark's weights workload draws them,
+    # each at the probe drop (4, 4) and at its first witness drop of height
+    # <= 10; the second pass reads every raising image from the memo that
+    # the first pass filled
+    free = fresh_weight_free()
+    weights = set()
+    while len(weights) < 24:
+        weights.add(HighestWeight(_random_rational(rng, -6, 6), _random_rational(rng, 0, 8)))
+    requests = []
+    for hw in sorted(weights):
+        requests.append((hw, (4, 4)))
+        drops = [q1_coords(p.l * p.beta) for p in is_reducible(hw).witnesses]
+        requests.extend([(hw, eta) for eta in drops if sum(eta) <= 10][:1])
+    assert len(requests) > len(weights)
+    sizes, found = [], 0
+    for _ in range(2):
+        for hw, eta in requests:
+            engine = VermaModule(hw)
+            basis = engine.weight_space_basis(eta)
+            reference = [row for g in RAISING
+                         for row in _reference_raising_matrix(engine, g, basis, eta)]
+            expected = tuple(ModuleVector({basis[j]: c for j, c in x.items()})
+                             for x in linalg.nullspace(reference, len(basis)))
+            assert find_singular(hw, eta).kernel == expected, (hw, eta)
+            found += len(expected)
+        sizes.append(len(free._cache))
+    assert found and sizes[0] == sizes[1]
 
 
 def test_lowering_term_reads_the_weight():

@@ -56,12 +56,10 @@ class QuotientSpace(namedtuple("QuotientSpace", "eta ambient_dim submodule_dim q
 
 
 def _require_dominant(hw: HighestWeight) -> tuple[int, int]:
-    # n1 and n0 = k1 - n1 are integers exactly when n1 and k1 are
-    n1, k1 = hw.n1, hw.k1
-    if n1.denominator == 1 and k1.denominator == 1 and 0 <= n1.numerator <= k1.numerator:
-        return n1.numerator, k1.numerator - n1.numerator
-    raise ValueError("quotient computations require n1 and n0 = k1 - n1 "
-                     f"to be nonnegative integers (n1={n1}, n0={hw.n0})")
+    if not hw.is_dominant_integral():
+        raise ValueError("quotient computations require n1 and n0 = k1 - n1 "
+                         f"to be nonnegative integers (n1={hw.n1}, n0={hw.n0})")
+    return hw.n1.numerator, hw.k1.numerator - hw.n1.numerator
 
 
 def _in_m_f(m: PBWMonomial, n1: int) -> bool:

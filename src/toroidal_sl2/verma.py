@@ -81,8 +81,8 @@ class HighestWeight(namedtuple("HighestWeight", "n1 k1 d1 d2")):
 
     def is_dominant_integral(self) -> bool:
         """True when n1 and n0 are both nonnegative integers."""
-        return (self.n1.denominator == 1 and self.n1 >= 0
-                and self.n0.denominator == 1 and self.n0 >= 0)
+        # n1 and n0 = k1 - n1 are integers exactly when n1 and k1 are
+        return self.n1.denominator == 1 and self.k1.denominator == 1 and 0 <= self.n1 <= self.k1
 
     @staticmethod
     def from_weight(w: Weight) -> "HighestWeight":
@@ -138,23 +138,20 @@ class ModuleVector(LinearCombination):
         return format_terms((format_monomial(m), c) for m, c in self.sorted_terms())
 
 
-# Unbounded: keyed by the three bounds on k, which many drops share, so a
-# scan to depth D makes O(D) entries
-@cache
-def _ranked_letters(kf: int, ke: int, kh: int) -> tuple[list[tuple[BasisElement, tuple[int, int]]],
-                                                        dict[BasisElement, int]]:
-    """f(-k,0) for 0 <= k <= kf, e(-k,0) for 1 <= k <= ke and h(-k,0) for
-    1 <= k <= kh, each with its weight drop, sorted by the order, and the
-    rank of each letter.  Shared by every caller, who must not change them.
+def _affine_negative_generators(a0: int, a1: int) -> list[tuple[BasisElement, tuple[int, int]]]:
+    """Level-0 negative generators with weight drop fitting inside (a0, a1).
 
     Drops are recorded in simple-root coordinates: f(-k,0) drops
     (k, k+1), e(-k,0) drops (k, k-1), h(-k,0) drops (k, k).
     """
-    gens = [(f(-k, 0), (k, k + 1)) for k in range(kf + 1)]
-    gens += [(e(-k, 0), (k, k - 1)) for k in range(1, ke + 1)]
-    gens += [(h(-k, 0), (k, k)) for k in range(1, kh + 1)]
-    gens.sort(key=lambda g: basis_sort_key(g[0]))
-    return gens, {b: i for i, (b, _) in enumerate(gens)}
+    gens: list[tuple[BasisElement, tuple[int, int]]] = []
+    for k in range(0, min(a0, a1 - 1) + 1):
+        gens.append((f(-k, 0), (k, k + 1)))
+    for k in range(1, min(a0, a1 + 1) + 1):
+        gens.append((e(-k, 0), (k, k - 1)))
+    for k in range(1, min(a0, a1) + 1):
+        gens.append((h(-k, 0), (k, k)))
+    return gens
 
 
 # bounded, as it reads no other entry; lchar_oracle asks for shifted drops per row
@@ -194,9 +191,9 @@ def _level0_basis(a0: int, a1: int) -> list[PBWMonomial]:
     """Level-0 canonical monomials of drop (a0, a1), sorted by the order:
     for each letter b^e, b then e ascending, b^e times the monomials of the
     smaller drop left whose letters sort below b, a prefix of its basis."""
-    # the level-0 negative letters whose drop fits inside (a0, a1); every
-    # letter of a smaller drop is one of these, ranked by the order
-    gens, rank = _ranked_letters(min(a0, a1 - 1), min(a0, a1 + 1), min(a0, a1))
+    gens = sorted(_affine_negative_generators(a0, a1), key=lambda g: basis_sort_key(g[0]))
+    # every letter of a smaller drop is one of these, ranked by the order
+    rank = {b: i for i, (b, _) in enumerate(gens)}
     out: list[PBWMonomial] = [] if a0 or a1 else [VACUUM]
     for i, (b, (c0, c1)) in enumerate(gens):
         exp = 1

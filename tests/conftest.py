@@ -10,6 +10,7 @@ settings.load_profile("suite")
 
 from toroidal_sl2 import (HighestWeight, RootVector, VermaModule, basis_sort_key, e, f, h,
                           is_positive, module_for, singular, verma, weight_of)
+from toroidal_sl2.verma import _affine_negative_generators
 from toroidal_sl2.algebra import C1, C2, D1, D2, is_cartan
 
 SEED = int(os.environ.get("TV_SEED", "20250810"))
@@ -89,21 +90,11 @@ def random_canonical_monomial(rng, max_factors=3, max_exp=2, mbound=2, nmin=-2):
     return tuple((b, rng.randint(1, max_exp)) for b in ordered)
 
 
-def affine_negative_generators(a0, a1):
-    """Level-0 negative letters with their drops in simple-root coordinates,
-    f(-k,0) (k, k+1), e(-k,0) (k, k-1) and h(-k,0) (k, k), that fit inside
-    (a0, a1)."""
-    letters = [(f(0, 0), (0, 1))]
-    for k in range(1, a0 + 1):
-        letters += [(f(-k, 0), (k, k + 1)), (e(-k, 0), (k, k - 1)), (h(-k, 0), (k, k))]
-    return [(b, (c0, c1)) for b, (c0, c1) in letters if c0 <= a0 and c1 <= a1]
-
-
 def level0_basis_reference(a0, a1):
     """Reference enumeration of the level-0 basis of drop (a0, a1): a depth-first
     search over the letters from the largest key down, each taken with every
     exponent that fits the drop left, largest first, then the list reversed."""
-    gens = affine_negative_generators(a0, a1)
+    gens = _affine_negative_generators(a0, a1)
     gens.sort(key=lambda g: basis_sort_key(g[0]), reverse=True)
     out = []
 

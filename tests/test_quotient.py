@@ -10,9 +10,10 @@ from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key, demo_infi
                           submodule_dim_at, w_multiplicity)
 from toroidal_sl2.quotient import _submodule_rows
 from toroidal_sl2.singular import _RAISING_DROP, RAISING, _raising_matrix
-from toroidal_sl2.verma import _ENGINES, _MAX_ENGINES, VermaModule, weight_free_engine
+from toroidal_sl2.verma import (_ENGINES, _MAX_ENGINES, VermaModule, _affine_negative_generators,
+                                weight_free_engine)
 
-from conftest import affine_negative_generators, generator_words, submodule_span
+from conftest import generator_words, submodule_span
 
 
 def etas_up_to(depth):
@@ -140,7 +141,7 @@ def test_submodule_rows_match_words_applied_to_generators():
 def test_f_generator_span_is_a_coordinate_subspace(n1, k1):
     # the one assumption behind the basis of M(lam)/M_f: f(0,0) is the last
     # PBW letter, so u * f(0,0)^(n1+1) v is u with its f(0,0) exponent raised
-    letters = [b for b, _ in affine_negative_generators(10, 10)]
+    letters = [b for b, _ in _affine_negative_generators(10, 10)]
     assert min(letters, key=basis_sort_key) == f(0, 0)
     engine = VermaModule(HighestWeight(n1, k1))
     word = ((f(0, 0), n1 + 1),)

@@ -38,6 +38,7 @@ class TestHighestWeight:
         assert HighestWeight(2, 3).is_dominant_integral()
         assert not HighestWeight(2, 1).is_dominant_integral()
         assert not HighestWeight(Fraction(1, 2), 2).is_dominant_integral()
+        assert not HighestWeight(1, Fraction(5, 2)).is_dominant_integral()
 
     def test_from_weight_requires_zero_c2(self):
         from toroidal_sl2 import Weight

@@ -28,7 +28,7 @@ from .reducibility import ReducibilityReport, kk_pairs, sufficient_kmax
 from .roots import (RootVector, Weight, classify, dot_action, is_positive,
                     reflect, roots_in_box, NOT_ROOT)
 from .singular import find_singular, orbit_report, scan_drops
-from .verma import HighestWeight, dim_oracle, module_for
+from .verma import HighestWeight, dim_oracle, weight_free_engine
 
 
 class CliInputError(ValueError):
@@ -132,11 +132,10 @@ def _run_reflect(args) -> Report:
 
 def _run_dims(args) -> Report:
     _at_least("depth", args.depth, 0)
-    engine = module_for(HighestWeight(0, 0))
     rows = []
     for eta in scan_drops(0, args.depth):
         dim = dim_oracle(eta)
-        pbw = len(engine.weight_space_basis(eta))
+        pbw = len(weight_free_engine().weight_space_basis(eta))
         rows.append({"eta": list(eta), "dim": dim, "pbw": pbw, "match": dim == pbw})
     return ({"depth": args.depth}, {"rows": rows},
             f"{len(rows)} weight spaces up to depth {args.depth}; "

@@ -21,7 +21,8 @@ f(0,0) exponent raised by n1 + 1.  The monomials of f(0,0) exponent above
 n1 span M_f and the others are a basis of M(lam)/M_f, in which the words
 u * e(-1,0)^(n0+1) v are straightened: each action drops the terms in M_f.
 The submodule's dimension at lam - eta is the count of the former monomials
-plus the rank of those rows.
+plus the rank of those rows.  Of lam, the words read only n1 (the filter)
+and the raising matrices only n1 and n0, so neither builds an engine at lam.
 """
 
 from __future__ import annotations
@@ -30,15 +31,14 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
-from weakref import WeakKeyDictionary
 
 from . import linalg
 from .algebra import e, f, h
 # bench/tracer.py wraps quotient.dot_action by name, so the import stays
 from .roots import dot_action  # noqa: F401
 from .singular import RAISING, _RAISING_DROP, _raising_matrix, dot_orbit_drops
-from .verma import (HighestWeight, ModuleVector, PBWMonomial, VermaModule, dim_oracle,
-                    format_monomial, module_for)
+from .verma import (HighestWeight, ModuleVector, PBWMonomial, dim_oracle, format_monomial,
+                    module_for, weight_free_engine)
 
 
 class QuotientSpace(namedtuple("QuotientSpace", "eta ambient_dim submodule_dim quotient_dim")):
@@ -68,19 +68,18 @@ def _in_m_f(m: PBWMonomial, n1: int) -> bool:
 
 
 _F00 = f(0, 0)
-# word -> word * v in M(lam)/M_f, per engine; a memo is freed with its
-# engine, which module_for drops when it evicts the engine
-_WORDS: WeakKeyDictionary[VermaModule, dict] = WeakKeyDictionary()
+# n1 -> {word: word * v in M(lam)/M_f}, kept for the process lifetime
+_WORDS: dict[int, dict[tuple, ModuleVector]] = {}
 
 
-def _word_mod_f(engine: VermaModule, memo: dict, n1: int, word: tuple) -> ModuleVector:
+def _word_mod_f(memo: dict, n1: int, word: tuple) -> ModuleVector:
     """word * v in M(lam)/M_f: the leading letter acts on the memoized word
     one letter shorter, so words sharing a tail are straightened once."""
     hit = memo.get(word)
     if hit is None:
         (lead, a) = word[0]
         rest = ((lead, a - 1),) + word[1:] if a > 1 else word[1:]
-        out = engine.act(lead, _word_mod_f(engine, memo, n1, rest))
+        out = weight_free_engine().act(lead, _word_mod_f(memo, n1, rest))
         hit = memo[word] = ModuleVector._wrap({m: c for m, c in out.items() if not _in_m_f(m, n1)})
     return hit
 
@@ -93,16 +92,16 @@ def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[
     the leading exponent of u lowered by one.
     """
     n1, n0 = _require_dominant(hw)
-    engine = module_for(hw)
-    basis = engine.weight_space_basis(eta)
+    free = weight_free_engine()
+    basis = free.weight_space_basis(eta)
     kept = [j for j, m in enumerate(basis) if not _in_m_f(m, n1)]
     index = {basis[j]: i for i, j in enumerate(kept)}
     rows: list[list[Fraction]] = []
     if eta[0] > n0:
-        memo = _WORDS.setdefault(engine, {(): ModuleVector.highest_weight_vector()})
-        for u in engine.weight_space_basis((eta[0] - n0 - 1, eta[1])):
+        memo = _WORDS.setdefault(n1, {(): ModuleVector.highest_weight_vector()})
+        for u in free.weight_space_basis((eta[0] - n0 - 1, eta[1])):
             row = [0] * len(kept)
-            for m, c in _word_mod_f(engine, memo, n1, u + ((e(-1, 0), n0 + 1),)).items():
+            for m, c in _word_mod_f(memo, n1, u + ((e(-1, 0), n0 + 1),)).items():
                 row[index[m]] = c
             rows.append(row)
     return rows, kept
@@ -111,7 +110,7 @@ def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[
 def submodule_dim_at(hw: HighestWeight, eta: tuple[int, int]) -> int:
     """Dimension of the submodule's slice of the lam - eta weight space."""
     rows, kept = _submodule_rows(hw, eta)
-    return len(module_for(hw).weight_space_basis(eta)) - len(kept) + linalg.rank(rows)
+    return len(weight_free_engine().weight_space_basis(eta)) - len(kept) + linalg.rank(rows)
 
 
 def w_multiplicity(hw: HighestWeight, eta: tuple[int, int]) -> QuotientSpace:
@@ -165,12 +164,11 @@ def quotient_singular_dim(hw: HighestWeight, eta: tuple[int, int]) -> int:
     check then skips only the monomials f(0,0)^a v with a > n1 at eta =
     (0, a), which f(1,0) kills as [f(1,0), f(0,0)] = 0.
     """
-    engine = module_for(hw)
-    basis = engine.weight_space_basis(eta)
+    basis = weight_free_engine().weight_space_basis(eta)
     s_eta, cols = _submodule_rows(hw, eta)
     blocks = []
     for g in RAISING:
-        a_g = _raising_matrix(engine, g, [basis[j] for j in cols], eta)
+        a_g = _raising_matrix(hw, g, [basis[j] for j in cols], eta)
         d0, d1 = _RAISING_DROP[g]
         s_g, kept = _submodule_rows(hw, (eta[0] - d0, eta[1] - d1)) if a_g else ([], [])
         blocks.append(([a_g[i] for i in kept], s_g))

@@ -47,8 +47,8 @@ from typing import NamedTuple, Optional, Sequence
 from . import linalg
 from .algebra import BasisElement, e, f
 from .roots import Rational, Weight, dot_action, q1_coords, root_from_q1, weight_as_root
-from .verma import (HighestWeight, ModuleVector, PBWMonomial, VermaModule,
-                    format_monomial, module_for, weight_free_engine)
+from .verma import (HighestWeight, ModuleVector, PBWMonomial, format_monomial, module_for,
+                    weight_free_engine)
 
 RAISING: tuple[BasisElement, BasisElement] = (e(0, 0), f(1, 0))
 
@@ -94,7 +94,7 @@ def _weight_term(hw: HighestWeight, g: BasisElement) -> Rational:
     return hw.n1 if g == RAISING[0] else hw.n0
 
 
-def _raising_matrix(engine: VermaModule, g: BasisElement,
+def _raising_matrix(hw: HighestWeight, g: BasisElement,
                     basis: Sequence[PBWMonomial], eta: tuple[int, int]) -> list[list[int]]:
     """q R_g(0) + p L_g, n = p/q in lowest terms (see the module docstring):
     an integer matrix with the kernel and row space of act(g, .) from the
@@ -102,7 +102,7 @@ def _raising_matrix(engine: VermaModule, g: BasisElement,
     Where eta - drop(g) leaves the cone the matrix has no rows, and every
     image must be zero."""
     free = weight_free_engine()
-    n = _weight_term(engine.hw, g)
+    n = _weight_term(hw, g)
     p, q = n.numerator, n.denominator
     partner = _CARTAN_PARTNER[g]
     d0, d1 = _RAISING_DROP[g]
@@ -111,17 +111,19 @@ def _raising_matrix(engine: VermaModule, g: BasisElement,
     index = {m: i for i, m in enumerate(target)}
     rows = [[0] * len(basis) for _ in target]
     for j, m in enumerate(basis):
-        image = free._act_basis(g, m)
-        # the partner letter to the power a, lowered by one, times a
-        lowering = [(m[:k] + (((b, a - 1),) if a > 1 else ()) + m[k + 1:], a)
-                    for k, (b, a) in enumerate(m) if b == partner] if p else []
-        if (image or lowering) and not target:
+        image = free._cache.get((g, m))
+        if image is None:
+            image = free._act_basis(g, m)
+        if not target and (image or p and any(b == partner for b, _ in m)):
             raise AssertionError(f"{g!r} does not kill {format_monomial(m)} at eta "
                                  f"{eta}, but its target weight space is empty")
         for m2, c in image.items():
             rows[index[m2]][j] = q * c
-        for m2, a in lowering:
-            rows[index[m2]][j] += p * a
+        # the partner letter (held once) to the power a, lowered by one, times a
+        for k, (b, a) in enumerate(m if p else ()):
+            if b == partner:
+                rows[index[m[:k] + (((b, a - 1),) if a > 1 else ()) + m[k + 1:]]][j] += p * a
+                break
     return rows
 
 
@@ -132,7 +134,7 @@ def find_singular(hw: HighestWeight, eta: tuple[int, int]) -> SingularCertificat
     basis = engine.weight_space_basis(eta)
     stacked: list[list[int]] = []
     for g in RAISING:
-        stacked.extend(_raising_matrix(engine, g, basis, eta))
+        stacked.extend(_raising_matrix(hw, g, basis, eta))
     kernel = [ModuleVector({basis[j]: c for j, c in x.items()})
               for x in linalg.nullspace(stacked, len(basis))]
     checks = []

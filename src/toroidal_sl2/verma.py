@@ -30,10 +30,11 @@ Exact arithmetic, once.  Coefficients are ``int`` while integral and
 compare alike, so reports do not depend on which one a value is.  Each
 engine memoizes positive letters on monomials, and Cartan letters are read
 off the weight.  Negative letters and level-0 bases do not depend on the
-weight, and ``module_for`` keeps only the newest engines.  The engine at
-weight zero (``weight_free_engine``), never evicted, memoizes every action
-that does not read the weight: negative letters for every engine, and the
-raising matrices ``singular`` straightens once for all.
+weight.  The engine at weight zero (``weight_free_engine``), never evicted,
+memoizes every action that does not read the weight: negative letters for
+every engine and for the quotient's words, and the raising matrices
+``singular`` straightens once for all.  ``module_for`` keeps only the
+newest engines, for the certificates and demos that act at the weight.
 """
 
 from __future__ import annotations

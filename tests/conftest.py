@@ -9,7 +9,7 @@ settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
 
 from toroidal_sl2 import (HighestWeight, RootVector, VermaModule, basis_sort_key, e, f, h,
-                          is_positive, module_for, singular, verma, weight_of)
+                          is_positive, module_for, quotient, singular, verma, weight_of)
 from toroidal_sl2.verma import _affine_negative_generators
 from toroidal_sl2.algebra import C1, C2, D1, D2, is_cartan
 
@@ -30,7 +30,7 @@ def fresh_weight_free(monkeypatch):
     empty, for the rest of the test, and returns it."""
     def swap():
         free = VermaModule(HighestWeight(0, 0))
-        for module in (verma, singular):
+        for module in (verma, singular, quotient):
             monkeypatch.setattr(module, "weight_free_engine", lambda: free)
         return free
     return swap

@@ -433,6 +433,20 @@ def test_internal_checks_exit_one_under_optimize(case):
     assert "internal check failed" in proc.stderr and message in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize("eta", ["450,0", "0,450"])
+def test_deep_one_dimensional_drop_fits_the_recursion_limit(eta, flags):
+    # straightening e(-1,0)^450 v or f(0,0)^450 v recurses a few frames per
+    # letter; at the default limit drops up to 490 pass and 495 raise
+    # RecursionError, so a change that adds frames per straightening step
+    # fails here.  Run in a subprocess, where pytest's own frames take none
+    # of the headroom.
+    proc = subprocess.run([sys.executable, *flags, "-m", "toroidal_sl2", "singular",
+                           "--weight", W12, "--eta", eta], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["kernel_dim"] == 0
+
+
 def test_package_has_no_bare_asserts():
     # ``python -O`` strips assert statements, so every check in the package
     # must raise explicitly

@@ -210,7 +210,7 @@ def test_row_first_pivoting_bounds_row_updates(monkeypatch):
     hw, eta = HighestWeight(1, 2), (8, 8)
     engine = module_for(hw)
     basis = engine.weight_space_basis(eta)
-    stacked = [row for g in RAISING for row in _raising_matrix(engine, g, basis, eta)]
+    stacked = [row for g in RAISING for row in _raising_matrix(engine.hw, g, basis, eta)]
     updates = 0
     update = linalg._update
 
@@ -281,7 +281,7 @@ def test_heap_pivot_order_matches_linear_scan():
     # and on a stacked raising matrix
     engine = module_for(HighestWeight(1, 2))
     basis = engine.weight_space_basis((5, 5))
-    stacked = [row for g in RAISING for row in _raising_matrix(engine, g, basis, (5, 5))]
+    stacked = [row for g in RAISING for row in _raising_matrix(engine.hw, g, basis, (5, 5))]
     sparse = [linalg._primitive(enumerate(row)) for row in stacked]
     assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
     # and on a submodule span, 87 of whose 137 rows have one entry

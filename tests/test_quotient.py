@@ -1,17 +1,17 @@
 """Quotient multiplicities, the character oracle, and the level -1 demos."""
 
+import io
 from fractions import Fraction
 
 import pytest
 
-from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key, demo_infinite_dim,
-                          demo_nonintegrability, f, find_singular, h, lchar_oracle, linalg,
+from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key, cli, demo_infinite_dim,
+                          demo_nonintegrability, e, f, find_singular, h, lchar_oracle, linalg,
                           module_for, quotient, quotient_singular_dim,
                           submodule_dim_at, w_multiplicity)
 from toroidal_sl2.quotient import _submodule_rows
 from toroidal_sl2.singular import _RAISING_DROP, RAISING, _raising_matrix
-from toroidal_sl2.verma import (_ENGINES, _MAX_ENGINES, VermaModule, _affine_negative_generators,
-                                weight_free_engine)
+from toroidal_sl2.verma import _ENGINES, VermaModule, _affine_negative_generators, weight_free_engine
 
 from conftest import generator_words, submodule_span
 
@@ -106,12 +106,14 @@ def test_character_match_depth_twelve(n1, k1):
         assert w_multiplicity(hw, eta).quotient_dim == lchar_oracle(hw, eta)
 
 
-def test_submodule_rows_match_words_applied_to_generators():
+def test_submodule_rows_match_words_applied_to_generators(fresh_weight_free, monkeypatch):
     # each oracle row is the word u*s applied to v; the reference applies u to
     # the generator vector s step by step on another engine.  The quotient's
-    # rows, straightened modulo M_f through its own word memo, are the e rows
-    # restricted to f(0,0) exponents <= n1 (no image is zero, as U(n-) acts
-    # freely)
+    # rows, straightened modulo M_f through its word memo for n1, are the e
+    # rows restricted to f(0,0) exponents <= n1 (no image is zero, as U(n-)
+    # acts freely)
+    monkeypatch.setattr(quotient, "_WORDS", {})
+    free = fresh_weight_free()
     hw = HighestWeight(1, 2)
     reference = VermaModule(hw)
     for eta in etas_up_to(10):
@@ -133,8 +135,10 @@ def test_submodule_rows_match_words_applied_to_generators():
         assert kept == [j for j, m in enumerate(basis) if dict(m).get(f(0, 0), 0) <= 1]
         e_rows, _ = submodule_span(hw, eta, generator_words(hw)[1:])
         assert rows == [[row[j] for j in kept] for row in e_rows]
-    assert module_for(hw) in quotient._WORDS
-    assert reference not in quotient._WORDS
+    # one memo, keyed by n1 alone, straightened into the weight-free memo
+    assert list(quotient._WORDS) == [1]
+    assert ((e(-1, 0), 2),) in quotient._WORDS[1]
+    assert free._cache
 
 
 @pytest.mark.parametrize("n1,k1", [(1, 2), (0, 1), (3, 3)])
@@ -164,17 +168,11 @@ def test_submodule_dim_is_the_rank_of_both_generators_span(n1, k1):
         assert submodule_dim_at(hw, eta) == linalg.rank(submodule_span(hw, eta)[0])
 
 
-@pytest.mark.parametrize("n1,k1", SPAN_WEIGHTS)
-def test_memoized_words_are_straightened_modulo_m_f(n1, k1, monkeypatch):
-    # every word the quotient memoizes, on an engine of its own, is the word
-    # applied to v with its monomials of f(0,0) exponent above n1 removed
-    hw = HighestWeight(n1, k1)
-    engine = VermaModule(hw)
-    monkeypatch.setattr(quotient, "module_for", lambda _: engine)
-    for eta in etas_up_to(12):
-        _submodule_rows(hw, eta)
+def assert_words_straightened_modulo_m_f(memo, hw):
+    """Every memoized word is the word applied to v with its monomials of
+    f(0,0) exponent above n1 removed, on an engine of its own."""
+    n1 = hw.n1
     reference = VermaModule(hw)
-    memo = quotient._WORDS[engine]
     assert memo
     for word, image in memo.items():
         full = reference.apply_word(word)
@@ -182,14 +180,45 @@ def test_memoized_words_are_straightened_modulo_m_f(n1, k1, monkeypatch):
         assert all(dict(m).get(f(0, 0), 0) <= n1 for m in image.terms)
 
 
-def test_word_memo_lives_as_long_as_its_engine():
-    hw = HighestWeight(2, 3)
-    _submodule_rows(hw, (4, 4))
-    assert module_for(hw) in quotient._WORDS
-    for i in range(_MAX_ENGINES):  # weights no other test uses
-        module_for(HighestWeight(Fraction(1, 7) + i, 0))
-    assert hw not in _ENGINES
-    assert {id(eng) for eng in quotient._WORDS.keys()} <= {id(eng) for eng in _ENGINES.values()}
+@pytest.mark.parametrize("n1,k1", SPAN_WEIGHTS)
+def test_memoized_words_are_straightened_modulo_m_f(n1, k1, fresh_weight_free, monkeypatch):
+    # from an empty word memo and an empty weight-zero memo
+    monkeypatch.setattr(quotient, "_WORDS", {})
+    fresh_weight_free()
+    hw = HighestWeight(n1, k1)
+    for eta in etas_up_to(12):
+        _submodule_rows(hw, eta)
+    assert list(quotient._WORDS) == [n1]
+    assert_words_straightened_modulo_m_f(quotient._WORDS[n1], hw)
+
+
+def test_weights_with_one_n1_share_one_word_memo(fresh_weight_free, monkeypatch):
+    # n0 sets only which words are asked for: (1, 2) and (1, 4) straighten
+    # u * e(-1,0)^2 v and u * e(-1,0)^4 v into the same memo
+    monkeypatch.setattr(quotient, "_WORDS", {})
+    fresh_weight_free()
+    for hw in (HighestWeight(1, 2), HighestWeight(1, 4)):
+        for eta in etas_up_to(10):
+            _submodule_rows(hw, eta)
+    assert list(quotient._WORDS) == [1]
+    memo = quotient._WORDS[1]
+    assert ((e(-1, 0), 2),) in memo and ((e(-1, 0), 4),) in memo
+    for hw in (HighestWeight(1, 2), HighestWeight(1, 4)):
+        assert_words_straightened_modulo_m_f(memo, hw)
+
+
+def test_quotient_path_creates_no_engine():
+    # words, bases and raising matrices read lam at most through n1 and n0,
+    # so no command but a singular certificate or a demo builds an engine
+    hw = HighestWeight(3, 7)  # a weight no other test uses
+    before = set(_ENGINES)
+    for eta in etas_up_to(5):
+        w_multiplicity(hw, eta)
+        lchar_oracle(hw, eta)
+        submodule_dim_at(hw, eta)
+        quotient_singular_dim(hw, eta)
+    assert cli.run(["dims", "--depth", "4"], out=io.StringIO()) == 0
+    assert set(_ENGINES) == before
 
 
 def test_integral_weight_straightens_over_the_integers():
@@ -200,7 +229,7 @@ def test_integral_weight_straightens_over_the_integers():
     engine = module_for(hw)
     for eta in etas_up_to(8):
         w_multiplicity(hw, eta)
-    matrix = _raising_matrix(engine, RAISING[0], engine.weight_space_basis((3, 3)), (3, 3))
+    matrix = _raising_matrix(engine.hw, RAISING[0], engine.weight_space_basis((3, 3)), (3, 3))
     assert all(type(c) is int for row in matrix for c in row)
     assert find_singular(hw, (0, 2)).kernel_dim == 1
     for cache in (engine._cache, weight_free_engine()._cache):
@@ -247,7 +276,7 @@ def block_nullspace_singular_dim(hw, eta, words=None):
     for g in RAISING:
         t = (eta[0] - _RAISING_DROP[g][0], eta[1] - _RAISING_DROP[g][1])
         s_g = independent(submodule_span(hw, t, words)[0]) if min(t) >= 0 else []
-        per_target.append((_raising_matrix(engine, g, basis, eta), s_g))
+        per_target.append((_raising_matrix(engine.hw, g, basis, eta), s_g))
     width = sum(len(s_g) for _, s_g in per_target)
     blocks, offset = [], n
     for a_g, s_g in per_target:
@@ -274,9 +303,9 @@ def test_quotient_singular_dim_checks_empty_targets(monkeypatch):
     calls = []
     raising_matrix = quotient._raising_matrix
 
-    def recorded(engine, g, basis, eta):
+    def recorded(hw, g, basis, eta):
         calls.append((g, eta))
-        return raising_matrix(engine, g, basis, eta)
+        return raising_matrix(hw, g, basis, eta)
 
     monkeypatch.setattr(quotient, "_raising_matrix", recorded)
     for eta in [(0, 0), (0, 3), (2, 0)]:

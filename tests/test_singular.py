@@ -103,7 +103,7 @@ def test_raising_matrix_matches_act_at_the_weight(rng):
                 q = singular._weight_term(hw, g).denominator
                 reference = [[q * c for c in row]
                              for row in _reference_raising_matrix(engine, g, basis, eta)]
-                assert _raising_matrix(engine, g, basis, eta) == reference, (hw, eta, g)
+                assert _raising_matrix(engine.hw, g, basis, eta) == reference, (hw, eta, g)
 
 
 def test_raising_matrix_is_integral_and_exact_at_integral_weights():
@@ -117,7 +117,7 @@ def test_raising_matrix_is_integral_and_exact_at_integral_weights():
         for eta in scan_drops(0, 8):
             basis = engine.weight_space_basis(eta)
             for g in RAISING:
-                matrix = _raising_matrix(engine, g, basis, eta)
+                matrix = _raising_matrix(engine.hw, g, basis, eta)
                 assert all(type(c) is int for row in matrix for c in row), (hw, eta, g)
                 if singular._weight_term(hw, g).denominator == 1:
                     assert matrix == _reference_raising_matrix(engine, g, basis, eta)

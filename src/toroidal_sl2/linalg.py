@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Each row is scaled to a primitive integer row and kept sparse, as a dict
-column -> value.  Every elimination step is one row update: a row with
-entry f in the pivot column becomes the primitive part of
-(p/g) row - (f/g) pivot row, p the pivot and g = gcd(p, f); when p
-divides f the multiplier p/g is 1 and the row is copied, not scaled.
+column -> value; rows of ints skip the rescaling.  Every elimination step
+is one row update: a row with entry f in the pivot column becomes the
+primitive part of (p/g) row - (f/g) pivot row, p the pivot and
+g = gcd(p, f).  The elimination copies its input rows once and updates
+them in place, in one pass over the pivot row that also keeps the index
+of active rows per column; the row is scaled only when p/g is not 1 and
+divided only when its content is not 1.
 Pivots are chosen row first: the active row with the fewest nonzeros
 (taken from a heap), in it the column with the fewest active rows, then
 the smallest entry, ties to the lowest index; only the rows meeting the
@@ -21,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Sequence
 
 
@@ -29,14 +33,17 @@ def _content_free(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
-def _primitive(entries: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
-    nonzero = [(j, c) for j, c in entries if c]
-    denom = lcm(*(c.denominator for _, c in nonzero))
-    return _content_free({j: c.numerator * (denom // c.denominator) for j, c in nonzero})
+def _primitive(entries: Iterable[tuple[int, Rational]]) -> dict[int, int]:
+    nonzero = {j: c for j, c in entries if c}
+    if all(type(c) is int for c in nonzero.values()):
+        return _content_free(nonzero)
+    denom = lcm(*(c.denominator for c in nonzero.values()))
+    return _content_free({j: c.numerator * (denom // c.denominator) for j, c in nonzero.items()})
 
 
 def _update(row: dict[int, int], prow: dict[int, int], pc: int) -> dict[int, int]:
-    """Primitive part of (p/g) row - (f/g) prow, which is zero in column pc."""
+    """Primitive part of (p/g) row - (f/g) prow, which is zero in column pc,
+    as a new row; ``_eliminate`` makes the same update in place."""
     p, f = prow[pc], row[pc]
     g = gcd(p, f)
     a, b = p // g, f // g
@@ -54,9 +61,10 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     """Pivots (column, row) in elimination order.
 
     Each pivot row is zero in the columns of the pivots before it, so the
-    rows are in echelon form when read in this order.
+    rows are in echelon form when read in this order.  The rows are copied
+    once and then updated in place; the caller's dicts are not changed.
     """
-    active = {i: row for i, row in enumerate(rows) if row}
+    active = {i: dict(row) for i, row in enumerate(rows) if row}
     pivots = []
     rows_in: dict[int, set[int]] = {}
     for i, row in active.items():
@@ -70,30 +78,51 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
             continue
         prow = active.pop(pi)
         pc = min(prow, key=lambda j: (len(rows_in[j]), abs(prow[j]), j))
-        for j in prow:
-            rows_in[j].discard(pi)
-        for i in list(rows_in[pc]):
-            new = _update(active[i], prow, pc)
-            for j in prow:
-                if j in new:
-                    rows_in[j].add(i)
+        p = prow[pc]
+        rest = []
+        for j, v in prow.items():
+            meets = rows_in[j]
+            meets.discard(pi)
+            if j != pc:
+                rest.append((j, v, meets))
+        # row <- primitive part of (p/g) row - (f/g) prow, f = row[pc], g = gcd(p, f);
+        # no row meets pc afterwards
+        for i in rows_in.pop(pc):
+            row = active[i]
+            f = row.pop(pc)
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for j, v in row.items():
+                    row[j] = a * v
+            for j, v, meets in rest:
+                w = row.get(j)
+                if w is None:
+                    row[j] = -b * v
+                    meets.add(i)
+                elif w := w - b * v:
+                    row[j] = w
                 else:
-                    rows_in[j].discard(i)
-            if new:
-                active[i] = new
-                heappush(queue, (len(new), i))
+                    del row[j]
+                    meets.discard(i)
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    for j, v in row.items():
+                        row[j] = v // g
+                heappush(queue, (len(row), i))
             else:
                 del active[i]
         pivots.append((pc, prow))
     return pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def rank(rows: Sequence[Sequence[Rational]]) -> int:
     """Rank of a matrix given as a list of rows."""
     return len(_eliminate([_primitive(enumerate(row)) for row in rows]))
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[dict[int, int]]:
+def nullspace(rows: Sequence[Sequence[Rational]], ncols: int) -> list[dict[int, int]]:
     """Basis of the right kernel {x : A x = 0}, as sparse rows column -> int.
 
     The basis is the reduced row echelon form of the kernel with each

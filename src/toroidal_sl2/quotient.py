@@ -84,7 +84,7 @@ def _word_mod_f(memo: dict, n1: int, word: tuple) -> ModuleVector:
     return hit
 
 
-def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[Fraction]], list[int]]:
+def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[int]], list[int]]:
     """Rows u * e(-1,0)^(n0+1) v at lam - eta in the basis of M(lam)/M_f, and
     the positions of that basis (f(0,0) exponent <= n1) in the weight space's.
 
@@ -96,7 +96,7 @@ def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[
     basis = free.weight_space_basis(eta)
     kept = [j for j, m in enumerate(basis) if not _in_m_f(m, n1)]
     index = {basis[j]: i for i, j in enumerate(kept)}
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     if eta[0] > n0:
         memo = _WORDS.setdefault(n1, {(): ModuleVector.highest_weight_vector()})
         for u in free.weight_space_basis((eta[0] - n0 - 1, eta[1])):

@@ -1,12 +1,14 @@
 """Exact kernel and rank computations, against a dense reference."""
 
+import copy
 from fractions import Fraction
 from math import gcd, lcm
 import random
 
 from toroidal_sl2 import HighestWeight, linalg, module_for
 from toroidal_sl2.quotient import _submodule_rows
-from toroidal_sl2.singular import RAISING, _raising_matrix
+from toroidal_sl2.singular import RAISING, _raising_matrix, scan_drops
+from toroidal_sl2.verma import weight_free_engine
 
 from conftest import submodule_span
 
@@ -105,7 +107,7 @@ def gauss_jordan(a, ncols):
         for k in range(len(m)):
             factor = m[k][j]
             if k != r and factor:
-                m[k] = [x - factor * y for x, y in zip(m[k], m[r])]
+                m[k] = [x - factor * y if y else x for x, y in zip(m[k], m[r])]
         pivots.append(j)
     return m[:len(pivots)], pivots
 
@@ -211,17 +213,33 @@ def test_row_first_pivoting_bounds_row_updates(monkeypatch):
     engine = module_for(hw)
     basis = engine.weight_space_basis(eta)
     stacked = [row for g in RAISING for row in _raising_matrix(engine.hw, g, basis, eta)]
-    updates = 0
+    sparse = [linalg._primitive(enumerate(row)) for row in stacked]
+    # a row update leaves its row nonzero, and pushes it back on the heap,
+    # or empties it; every nonzero input row ends a pivot or emptied
+    pushes = 0
+    push = linalg.heappush
+
+    def counted_push(queue, item):
+        nonlocal pushes
+        pushes += 1
+        push(queue, item)
+
+    monkeypatch.setattr(linalg, "heappush", counted_push)
+    pivots = linalg._eliminate(sparse)
+    updates = pushes + sum(1 for row in sparse if row) - len(pivots)
+    assert len(pivots) == len(basis) == 480
+    assert 0 < updates <= 5479
+    # the reference makes one _update call per row update
+    calls = 0
     update = linalg._update
 
-    def counted(row, prow, pc):
-        nonlocal updates
-        updates += 1
+    def counted_update(row, prow, pc):
+        nonlocal calls
+        calls += 1
         return update(row, prow, pc)
 
-    monkeypatch.setattr(linalg, "_update", counted)
-    assert linalg.rank(stacked) == len(basis) == 480
-    assert 0 < updates <= 5479
+    monkeypatch.setattr(linalg, "_update", counted_update)
+    assert _eliminate_by_scan(sparse) == pivots and calls == updates
 
 
 def test_submodule_span_rank_at_8_8():
@@ -261,22 +279,26 @@ def _eliminate_by_scan(rows):
     return pivots
 
 
+def shrinking_rows(rng):
+    """Sparse primitive rows, half of them sums and multiples of others, so
+    that rows shrink and vanish under elimination."""
+    nrows, ncols = rng.randint(1, 40), rng.randint(1, 40)
+    density = rng.choice([0.05, 0.15, 0.4])
+    base = [{j: rng.choice([-3, -2, -1, 1, 2, 5]) for j in range(ncols)
+             if rng.random() < density} for _ in range(nrows)]
+    for _ in range(nrows // 2):
+        a, b = rng.choice(base), rng.choice(base)
+        row = dict(a)
+        for j, v in b.items():
+            row[j] = row.get(j, 0) + rng.choice([-1, 2]) * v
+        base.append({j: v for j, v in row.items() if v})
+    rng.shuffle(base)
+    return [linalg._primitive(row.items()) for row in base]
+
+
 def test_heap_pivot_order_matches_linear_scan():
     for seed in range(40):
-        rng = random.Random(seed)
-        nrows, ncols = rng.randint(1, 40), rng.randint(1, 40)
-        density = rng.choice([0.05, 0.15, 0.4])
-        base = [{j: rng.choice([-3, -2, -1, 1, 2, 5]) for j in range(ncols)
-                 if rng.random() < density} for _ in range(nrows)]
-        # sums and multiples of earlier rows, so rows shrink and vanish
-        for _ in range(nrows // 2):
-            a, b = rng.choice(base), rng.choice(base)
-            row = dict(a)
-            for j, v in b.items():
-                row[j] = row.get(j, 0) + rng.choice([-1, 2]) * v
-            base.append({j: v for j, v in row.items() if v})
-        rng.shuffle(base)
-        sparse = [linalg._primitive(row.items()) for row in base]
+        sparse = shrinking_rows(random.Random(seed))
         assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
     # and on a stacked raising matrix
     engine = module_for(HighestWeight(1, 2))
@@ -303,3 +325,52 @@ def test_heap_pivot_order_matches_linear_scan():
                {0: 1, 1: 2, 3: 1}, {0: 3, 2: 5}]
     pivots = linalg._eliminate(cascade)
     assert pivots == _eliminate_by_scan(cascade) and len(pivots) == 4
+
+
+def test_elimination_leaves_the_callers_rows_unchanged():
+    # the kernel updates its rows in place, so it must work on copies
+    for seed in range(40):
+        sparse = shrinking_rows(random.Random(seed))
+        before = copy.deepcopy(sparse)
+        assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
+        assert sparse == before
+        assert _eliminate_by_scan(sparse) == linalg._eliminate(sparse)
+        assert sparse == before
+    engine = module_for(HighestWeight(1, 2))
+    basis = engine.weight_space_basis((5, 5))
+    stacked = [row for g in RAISING for row in _raising_matrix(engine.hw, g, basis, (5, 5))]
+    block, kept = _submodule_rows(HighestWeight(1, 2), (9, 4))
+    for dense_rows, ncols in [(stacked, len(basis)), (block, len(kept))]:
+        before = copy.deepcopy(dense_rows)
+        linalg.rank(dense_rows)
+        assert dense_rows == before
+        linalg.nullspace(dense_rows, ncols)
+        assert dense_rows == before
+
+
+def assert_matches_reference(a, ncols):
+    kernel = reference_kernel([[Fraction(c) for c in row] for row in a], ncols)
+    assert linalg.rank(a) == ncols - len(kernel)
+    assert [dense(v, ncols) for v in linalg.nullspace(a, ncols)] == kernel
+
+
+def test_production_matrices_match_reference(rng):
+    # the (4, 4) probe at rational weights drawn as the benchmark's weights
+    # workload draws them, and the rows the quotient eliminates
+    weights = set()
+    while len(weights) < 24:
+        weights.add(HighestWeight(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                                  Fraction(rng.randint(0, 8), rng.randint(1, 4))))
+    basis = weight_free_engine().weight_space_basis((4, 4))
+    for hw in sorted(weights):
+        stacked = [row for g in RAISING for row in _raising_matrix(hw, g, basis, (4, 4))]
+        assert (len(stacked), len(basis)) == (38, 32)
+        assert_matches_reference(stacked, len(basis))
+    blocks = 0
+    for hw in (HighestWeight(1, 2), HighestWeight(2, 3)):
+        for eta in scan_drops(0, 9):
+            rows, kept = _submodule_rows(hw, eta)
+            if rows:
+                assert_matches_reference(rows, len(kept))
+                blocks += 1
+    assert blocks > 50

@@ -73,13 +73,17 @@ _WORDS: dict[int, dict[tuple, ModuleVector]] = {}
 
 
 def _word_mod_f(memo: dict, n1: int, word: tuple) -> ModuleVector:
-    """word * v in M(lam)/M_f: the leading letter acts on the memoized word
-    one letter shorter, so words sharing a tail are straightened once."""
-    hit = memo.get(word)
-    if hit is None:
+    """word * v in M(lam)/M_f: the leading letter acts on the word one letter
+    shorter, memoized (a cold word's suffixes first, in a loop), so words
+    sharing a tail are straightened once."""
+    cold, hit = [], memo.get(word)
+    while hit is None:
+        cold.append(word)
         (lead, a) = word[0]
-        rest = ((lead, a - 1),) + word[1:] if a > 1 else word[1:]
-        out = weight_free_engine().act(lead, _word_mod_f(memo, n1, rest))
+        word = ((lead, a - 1),) + word[1:] if a > 1 else word[1:]
+        hit = memo.get(word)
+    for word in reversed(cold):
+        out = weight_free_engine().act(word[0][0], hit)
         hit = memo[word] = ModuleVector._wrap({m: c for m, c in out.items() if not _in_m_f(m, n1)})
     return hit
 

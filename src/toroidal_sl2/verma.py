@@ -13,7 +13,8 @@ recursion terminates because each rewrite strictly decreases the pair
 against the word) in lexicographic order: a bracket substitution drops the
 degree by one, and the degree-preserving branch only re-sorts the original
 multiset of letters, after which the leading factor re-attaches without
-further commutation.  That last fact is checked below.
+further commutation (checked below).  Lower powers of the letter g moves
+past are straightened first, in a loop, so an exponent costs no depth.
 
 Weight spaces.  At delta2-level 0 the weight spaces lam - eta, eta a
 nonnegative combination of the simple roots alpha0 and alpha1, are finite
@@ -33,8 +34,8 @@ off the weight.  Negative letters and level-0 bases do not depend on the
 weight.  The engine at weight zero (``weight_free_engine``), never evicted,
 memoizes every action that does not read the weight: negative letters for
 every engine and for the quotient's words, and the raising matrices
-``singular`` straightens once for all.  ``module_for`` keeps only the
-newest engines, for the certificates and demos that act at the weight.
+``singular`` straightens once for all.  ``module_for`` keeps the engine of
+the last weight asked for, for the certificates and demos at the weight.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import product
 from typing import Optional, Sequence, Union
 
 from .algebra import (ALPHA_COEFF, AlgebraElement, BasisElement, H,
@@ -140,23 +142,21 @@ class ModuleVector(LinearCombination):
 
 
 def _affine_negative_generators(a0: int, a1: int) -> list[tuple[BasisElement, tuple[int, int]]]:
-    """Level-0 negative generators with weight drop fitting inside (a0, a1).
+    """Level-0 negative generators with weight drop fitting inside (a0, a1),
+    in PBW order: f(0,0), then f(-k,0), h(-k,0), e(-k,0) for k = 1, 2, ...
 
     Drops are recorded in simple-root coordinates: f(-k,0) drops
-    (k, k+1), e(-k,0) drops (k, k-1), h(-k,0) drops (k, k).
-    """
-    gens: list[tuple[BasisElement, tuple[int, int]]] = []
-    for k in range(0, min(a0, a1 - 1) + 1):
-        gens.append((f(-k, 0), (k, k + 1)))
+    (k, k+1), e(-k,0) drops (k, k-1), h(-k,0) drops (k, k)."""
+    gens = [(f(0, 0), (0, 1))] if a1 else []
     for k in range(1, min(a0, a1 + 1) + 1):
-        gens.append((e(-k, 0), (k, k - 1)))
-    for k in range(1, min(a0, a1) + 1):
-        gens.append((h(-k, 0), (k, k)))
+        for b, drop in ((f(-k, 0), (k, k + 1)), (h(-k, 0), (k, k)), (e(-k, 0), (k, k - 1))):
+            if drop[1] <= a1:
+                gens.append((b, drop))
     return gens
 
 
-# bounded, as it reads no other entry; lchar_oracle asks for shifted drops per row
-@lru_cache(maxsize=325)
+# unbounded: one int per drop, (D+1)(D+2)/2 of them on a scan to height D
+@cache
 def dim_oracle(eta: tuple[int, int]) -> int:
     """Weight-space dimension by an independent partition count.
 
@@ -185,35 +185,39 @@ def dim_oracle(eta: tuple[int, int]) -> int:
     return table[a0][a1]
 
 
-# Unbounded: a basis reads every smaller basis, so evicting one rebuilds its whole
-# cone, and a count of bases bounds no memory (one deep basis outweighs hundreds).
-@cache
+# Every basis built, by drop, for the process lifetime: a basis reads the
+# bases of smaller drops, so evicting one would rebuild every basis above it.
+_BASES: dict[tuple[int, int], list[PBWMonomial]] = {}
+
+
 def _level0_basis(a0: int, a1: int) -> list[PBWMonomial]:
-    """Level-0 canonical monomials of drop (a0, a1), sorted by the order:
-    for each letter b^e, b then e ascending, b^e times the monomials of the
-    smaller drop left whose letters sort below b, a prefix of its basis."""
-    gens = sorted(_affine_negative_generators(a0, a1), key=lambda g: basis_sort_key(g[0]))
-    # every letter of a smaller drop is one of these, ranked by the order
-    rank = {b: i for i, (b, _) in enumerate(gens)}
-    out: list[PBWMonomial] = [] if a0 or a1 else [VACUUM]
-    for i, (b, (c0, c1)) in enumerate(gens):
-        exp = 1
-        while exp * c0 <= a0 and exp * c1 <= a1:
-            rest = _level0_basis(a0 - exp * c0, a1 - exp * c1)
-            stop = bisect_left(rest, i, key=lambda m: rank[m[0][0]] if m else -1)
-            out.extend(((b, exp),) + m for m in rest[:stop])
-            exp += 1
-    return out
+    """Level-0 canonical monomials of drop (a0, a1), sorted by the order; a
+    miss builds the box of drops below it, smaller first: for each letter b^e,
+    b then e ascending, b^e times the prefix of the drop left below b."""
+    if (a0, a1) not in _BASES:
+        gens = _affine_negative_generators(a0, a1)
+        # every letter of a drop in the box is one of these, ranked by the order
+        rank = {b: i for i, (b, _) in enumerate(gens)}
+        for b0, b1 in product(range(a0 + 1), range(a1 + 1)):
+            if (b0, b1) not in _BASES:
+                out: list[PBWMonomial] = [] if b0 or b1 else [VACUUM]
+                for i, (b, (c0, c1)) in enumerate(gens):
+                    exp = 1
+                    while exp * c0 <= b0 and exp * c1 <= b1:
+                        rest = _BASES[(b0 - exp * c0, b1 - exp * c1)]
+                        stop = bisect_left(rest, i, key=lambda m: rank[m[0][0]] if m else -1)
+                        out.extend(((b, exp),) + m for m in rest[:stop])
+                        exp += 1
+                _BASES[(b0, b1)] = out
+    return _BASES[(a0, a1)]
 
 
 class VermaModule:
     """The module engine for one highest weight.
 
     All methods are pure.  Positive letters (``_cache``) are memoized per
-    instance, so reusing one engine across a scan is much faster than
-    constructing fresh ones; negative letters go to the ``_cache`` of the
-    engine at weight zero, shared by every engine, and Cartan letters are
-    not memoized.
+    instance; negative letters go to the ``_cache`` of the engine at weight
+    zero, shared by every engine, and Cartan letters are not memoized.
     """
 
     def __init__(self, hw: HighestWeight):
@@ -265,6 +269,10 @@ class VermaModule:
             raise ValueError(f"{format_monomial(m)} is not a canonical monomial")
         # g must move right: g * lead^a * rest = lead * (g * tail) + [g, lead] * tail
         tail = ((lead, a - 1),) + m[1:] if a > 1 else m[1:]
+        if a > 2 and (g, tail) not in (self._cache if positive else weight_free_engine()._cache):
+            # g on lead^j * rest first, j = 1 .. a-2, each onto the one below
+            for j in range(1, a - 1):
+                self._act_basis(g, ((lead, j),) + m[1:])
         out: dict[PBWMonomial, Rational] = {}
         for m2, c2 in self._act_basis(g, tail).items():
             # termination: the degree-preserving part of g*tail is the
@@ -322,19 +330,15 @@ class VermaModule:
         return _level0_basis(a0, a1)
 
 
-# A command straightens for one weight; a few more keep callers that
-# alternate among a handful of weights warm, while a sweep over many
-# weights, each used once, keeps at most this many engines' memos alive.
-_MAX_ENGINES = 8
+# one slot, as each command acts at one weight; bench/child.py reads it
 _ENGINES: dict[HighestWeight, VermaModule] = {}
 
 
 def module_for(hw: HighestWeight) -> VermaModule:
-    """Shared engine per highest weight; the oldest is evicted first."""
+    """The engine for the last weight asked for; asking for another drops it."""
     eng = _ENGINES.get(hw)
     if eng is None:
-        if len(_ENGINES) >= _MAX_ENGINES:
-            del _ENGINES[next(iter(_ENGINES))]
+        _ENGINES.clear()
         eng = _ENGINES[hw] = VermaModule(hw)
     return eng
 

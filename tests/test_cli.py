@@ -433,18 +433,42 @@ def test_internal_checks_exit_one_under_optimize(case):
     assert "internal check failed" in proc.stderr and message in proc.stderr
 
 
+# Run in one subprocess whose recursion limit is 100, far below the height
+# of the deepest drops: h=0, c1=600 has its canonical singular vector
+# e(-1,0)^601 v at (601, 0).
+W0600 = '{"h":"0","c1":"600","c2":"0","d1":"0","d2":"0"}'
+LOW_LIMIT_RUNS = [["singular", "--weight", W12, "--eta", "2000,0"],
+                  ["singular", "--weight", W12, "--eta", "0,2000"],
+                  ["singular", "--weight", W0600, "--eta", "601,0"],
+                  ["singular", "--weight", W12, "--depth", "12"],
+                  ["quotient-char", "--weight", W12, "--depth", "12"]]
+
+
 @pytest.mark.parametrize("flags", [(), ("-O",)])
-@pytest.mark.parametrize("eta", ["450,0", "0,450"])
-def test_deep_one_dimensional_drop_fits_the_recursion_limit(eta, flags):
-    # straightening e(-1,0)^450 v or f(0,0)^450 v recurses a few frames per
-    # letter; at the default limit drops up to 490 pass and 495 raise
-    # RecursionError, so a change that adds frames per straightening step
-    # fails here.  Run in a subprocess, where pytest's own frames take none
-    # of the headroom.
-    proc = subprocess.run([sys.executable, *flags, "-m", "toroidal_sl2", "singular",
-                           "--weight", W12, "--eta", eta], capture_output=True, text=True)
+def test_reports_do_not_depend_on_the_recursion_limit(flags):
+    # bases and powers of a letter are built in loops, so neither the height
+    # of a drop nor an exponent costs a Python frame; pytest's own frames
+    # would take part of the headroom in process
+    script = ("import io, json, sys\nsys.setrecursionlimit(100)\n"
+              "from toroidal_sl2.cli import run\n"
+              "outs = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out = io.StringIO()\n"
+              "    outs.append([run(argv, out=out, err=io.StringIO()), out.getvalue()])\n"
+              "print(json.dumps(outs))\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", script, json.dumps(LOW_LIMIT_RUNS)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["result"]["kernel_dim"] == 0
+    outs = json.loads(proc.stdout)
+    assert [code for code, _ in outs] == [0] * len(LOW_LIMIT_RUNS)
+    deep = [json.loads(text)["result"] for _, text in outs[:3]]
+    assert [r["weight_space_dim"] for r in deep] == [1, 1, 1]
+    assert [r["kernel_dim"] for r in deep] == [0, 0, 1]
+    checks = deep[2]["raising_checks"]
+    assert len(checks) == 2 and all(c["annihilated"] for c in checks)
+    # the scans print what they print at the default limit
+    for argv, (_, text) in zip(LOW_LIMIT_RUNS[3:], outs[3:]):
+        assert invoke(*argv)[1] == text
 
 
 def test_package_has_no_bare_asserts():

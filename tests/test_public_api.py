@@ -17,8 +17,9 @@ def test_every_public_name_resolves_once():
 
 def test_benchmark_hooks_resolve():
     # bench/tracer.py wraps package names where their callers look them up,
-    # and bench/child.py reads every engine's memo of positive letters; a
-    # fresh process keeps the wrappers from leaking into other tests
+    # and bench/child.py reads every engine's memo of positive letters, one
+    # engine at a time; a fresh process keeps the wrappers from leaking
+    # into other tests
     root = Path(__file__).resolve().parents[1]
     script = ("import sys\nsys.path[:0] = sys.argv[1:]\n"
               "import toroidal_sl2, tracer\n"
@@ -29,7 +30,9 @@ def test_benchmark_hooks_resolve():
               "assert sum(len(e._cache) for e in engines) > 0\n"
               "layers = t.layers()\n"
               "assert layers['singular.kernel_dim_sum'] == 1, layers\n"
-              "assert layers['verma.act_calls'] > 0 and layers['linalg.calls'] == 1, layers\n")
+              "assert layers['verma.act_calls'] > 0 and layers['linalg.calls'] == 1, layers\n"
+              "toroidal_sl2.singular.find_singular(toroidal_sl2.HighestWeight(2, 3), (1, 0))\n"
+              "assert len(toroidal_sl2.verma._ENGINES) == 1\n")
     proc = subprocess.run([sys.executable, "-c", script, str(root / "bench"), str(root / "src")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 """Quotient multiplicities, the character oracle, and the level -1 demos."""
 
 import io
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -219,6 +221,17 @@ def test_quotient_path_creates_no_engine():
         quotient_singular_dim(hw, eta)
     assert cli.run(["dims", "--depth", "4"], out=io.StringIO()) == 0
     assert set(_ENGINES) == before
+
+
+def test_long_word_is_straightened_without_recursion():
+    # e(-1,0)^1300 v: a cold word's shorter suffixes are straightened in a
+    # loop, so its length costs no Python frame (the limit here is 100)
+    script = ("import sys\nsys.setrecursionlimit(100)\n"
+              "from toroidal_sl2 import HighestWeight, w_multiplicity\n"
+              "print(tuple(w_multiplicity(HighestWeight(0, 1299), (1300, 0))[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(1, 1, 0)\n"
 
 
 def test_integral_weight_straightens_over_the_integers():

@@ -11,7 +11,7 @@ from toroidal_sl2 import (HighestWeight, ModuleVector, SingularCertificate, cli,
 from toroidal_sl2.roots import dot_action, q1_coords, weight_as_root
 from toroidal_sl2.singular import (_RAISING_DROP, RAISING, _raising_matrix, dot_orbit_drops,
                                    dot_orbit_etas, scan_drops)
-from toroidal_sl2.verma import _ENGINES, _MAX_ENGINES, VermaModule, weight_free_engine
+from toroidal_sl2.verma import _ENGINES, VermaModule, weight_free_engine
 
 from conftest import is_negative
 
@@ -292,9 +292,9 @@ def test_evicted_engine_is_rebuilt_with_the_same_reports():
         return [find_singular(hw, (a0, total - a0)).to_json()
                 for total in range(1, 7) for a0 in range(total + 1)]
 
+    # one slot: an engine at another weight drops the one at hw
     first, engine = reports(), module_for(hw)
-    for n1 in range(_MAX_ENGINES):
-        module_for(HighestWeight(n1, 50))
+    module_for(HighestWeight(0, 50))
     assert hw not in _ENGINES
     assert reports() == first
     assert module_for(hw) is not engine

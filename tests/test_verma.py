@@ -9,8 +9,9 @@ from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key,
                           h, module_for, root_from_q1, w_multiplicity, weight_of)
 from toroidal_sl2.algebra import C1, C2, D1, D2
 from toroidal_sl2.roots import CartanElement, Weight
-from toroidal_sl2.verma import (_ENGINES, _MAX_ENGINES, VermaModule, _level0_basis,
-                                weight_free_engine)
+from toroidal_sl2 import verma
+from toroidal_sl2.verma import (_ENGINES, VermaModule, _affine_negative_generators,
+                                _level0_basis, weight_free_engine)
 
 from conftest import (is_canonical, is_negative, level0_basis_reference, monomial_weight,
                       random_basis_element, random_canonical_monomial, random_negative_element)
@@ -289,33 +290,45 @@ class TestEngineMemos:
             assert eng.apply_word(word) == expected == eng.apply_word(tuple(word), V)
             assert eng.apply_word(tuple(word)) is not eng.apply_word(word)
 
-    def test_bases_are_shared_by_engines_of_one_order(self):
+    def test_bases_are_shared_by_engines_of_one_order(self, monkeypatch):
         one = VermaModule(HighestWeight(1, 2))
         two = VermaModule(HighestWeight(Fraction(-3, 2), Fraction(5, 4), 1, 2))
         for eta in [(4, 4), (3, 5), (0, 0)]:
             basis = one.weight_space_basis(eta)
-            assert two.weight_space_basis(eta) is basis
-            assert basis == _level0_basis.__wrapped__(*eta)
+            assert two.weight_space_basis(eta) is basis is verma._BASES[eta]
+            monkeypatch.setattr(verma, "_BASES", {})
+            assert _level0_basis(*eta) == basis == level0_basis_reference(*eta)
+            monkeypatch.undo()
 
     def test_bases_match_the_reference_enumeration(self):
         for height in range(17):
             for a0 in range(height + 1):
                 assert _level0_basis(a0, height - a0) == level0_basis_reference(a0, height - a0)
 
-    def test_cold_basis_matches_warm(self):
-        # warm: every smaller drop is cached; cold: the recursion builds them
+    def test_letters_come_in_the_order(self):
+        for a0 in range(8):
+            for a1 in range(8):
+                letters = [b for b, _ in _affine_negative_generators(a0, a1)]
+                assert letters == sorted(letters, key=basis_sort_key)
+
+    def test_cold_basis_matches_warm(self, monkeypatch):
+        # warm: every smaller drop is built; cold: the loop builds them
         for height in range(21):
             for a0 in range(height + 1):
                 _level0_basis(a0, height - a0)
         warm = _level0_basis(10, 10)
-        _level0_basis.cache_clear()
+        monkeypatch.setattr(verma, "_BASES", {})
         assert _level0_basis(10, 10) == warm
 
-    def test_deep_basis_builds_each_smaller_drop_once(self):
-        # a bounded cache of 325 bases rebuilt evicted ones here (388 misses)
-        _level0_basis.cache_clear()
-        assert _level0_basis(330, 0) == level0_basis_reference(330, 0)
-        assert _level0_basis.cache_info().misses == 331
+    def test_deep_basis_builds_each_smaller_drop_once(self, monkeypatch):
+        # a bounded cache of 325 bases rebuilt evicted ones at (330, 0) (388
+        # misses); a cold drop builds exactly the drops of the box below it
+        for eta, built in [((330, 0), 331), ((5, 5), 36), ((6, 9), 70), ((10, 3), 44)]:
+            monkeypatch.setattr(verma, "_BASES", {})
+            assert _level0_basis(*eta) == level0_basis_reference(*eta)
+            assert len(verma._BASES) == built
+            assert set(verma._BASES) == {(b0, b1) for b0 in range(eta[0] + 1)
+                                         for b1 in range(eta[1] + 1)}
 
     def test_bases_are_sorted_and_complete(self):
         for height in range(13):
@@ -393,13 +406,25 @@ class TestEngineMemos:
             assert not any(is_negative(g) for g, _ in eng._cache)
 
     def test_engine_registry_keeps_the_newest(self):
-        weights = [HighestWeight(n1, 40) for n1 in range(_MAX_ENGINES + 3)]
+        # one slot: the engine of the last weight asked for
+        weights = [HighestWeight(n1, 40) for n1 in range(3)]
         engines = [module_for(hw) for hw in weights]
-        assert len(_ENGINES) == _MAX_ENGINES
-        assert all(module_for(hw) is eng
-                   for hw, eng in zip(weights[3:], engines[3:]))
-        assert weights[0] not in _ENGINES
+        assert _ENGINES == {weights[2]: engines[2]}
+        assert module_for(weights[2]) is engines[2]
         assert module_for(weights[0]) is not engines[0]
+        assert list(_ENGINES) == [weights[0]]
+
+    def test_powers_of_a_letter_memoize_every_lower_power(self, fresh_weight_free):
+        # a cold g on lead^a first straightens g on each lower power in a
+        # loop; the memo ends as when the powers are straightened one by one
+        fresh_weight_free()
+        cold, warm = VermaModule(HighestWeight(1, 2)), VermaModule(HighestWeight(1, 2))
+        for g, lead, rest in [(e(0, 0), f(0, 0), ()), (f(1, 0), e(-1, 0), ((f(0, 0), 2),)),
+                              (e(0, 0), h(-1, 0), ((f(0, 0), 1),))]:
+            assert cold._act_basis(g, ((lead, 40),) + rest) == \
+                [warm._act_basis(g, ((lead, a),) + rest) for a in range(1, 41)][-1]
+            assert (g, ((lead, 39),) + rest) in cold._cache
+        assert cold._cache == warm._cache
 
     def test_memoized_basis_matches_fresh_enumeration(self):
         hw = HighestWeight(1, 2)

@@ -471,6 +471,18 @@ def test_reports_do_not_depend_on_the_recursion_limit(flags):
         assert invoke(*argv)[1] == text
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize("eta", ["450,0", "0,450"])
+def test_deep_one_dimensional_drop_fits_the_recursion_limit(eta, flags):
+    # e(-1,0)^450 v and f(0,0)^450 v through the module's entry point at the
+    # default limit, in a subprocess where pytest's own frames take none of
+    # the headroom
+    proc = subprocess.run([sys.executable, *flags, "-m", "toroidal_sl2", "singular",
+                           "--weight", W12, "--eta", eta], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["kernel_dim"] == 0
+
+
 def test_package_has_no_bare_asserts():
     # ``python -O`` strips assert statements, so every check in the package
     # must raise explicitly

@@ -19,10 +19,11 @@ The submodule M_f generated by f(0,0)^(n1+1) v is not eliminated: f(0,0)
 is the last PBW letter, so u * f(0,0)^(n1+1) v is the monomial u with its
 f(0,0) exponent raised by n1 + 1.  The monomials of f(0,0) exponent above
 n1 span M_f and the others are a basis of M(lam)/M_f, in which the words
-u * e(-1,0)^(n0+1) v are straightened: each action drops the terms in M_f.
-The submodule's dimension at lam - eta is the count of the former monomials
-plus the rank of those rows.  Of lam, the words read only n1 (the filter)
-and the raising matrices only n1 and n0, so neither builds an engine at lam.
+u * e(-1,0)^(n0+1) v are straightened, memoized per (n1, n0) by the prefix
+u; each action of f(0,0) drops the terms in M_f, as no other letter moves a
+term into it.  The submodule's dimension at lam - eta is the count of the
+former monomials plus the rank of those rows.  The words and the raising
+matrices read only n1 and n0 of lam, so neither builds an engine at lam.
 """
 
 from __future__ import annotations
@@ -68,23 +69,28 @@ def _in_m_f(m: PBWMonomial, n1: int) -> bool:
 
 
 _F00 = f(0, 0)
-# n1 -> {word: word * v in M(lam)/M_f}, kept for the process lifetime
-_WORDS: dict[int, dict[tuple, ModuleVector]] = {}
+# (n1, n0) -> {u: u * e(-1,0)^(n0+1) v in M(lam)/M_f}, kept for the process lifetime
+_WORDS: dict[tuple[int, int], dict[PBWMonomial, ModuleVector]] = {}
 
 
-def _word_mod_f(memo: dict, n1: int, word: tuple) -> ModuleVector:
-    """word * v in M(lam)/M_f: the leading letter acts on the word one letter
-    shorter, memoized (a cold word's suffixes first, in a loop), so words
-    sharing a tail are straightened once."""
-    cold, hit = [], memo.get(word)
+def _word_mod_f(memo: dict, n1: int, u: PBWMonomial) -> ModuleVector:
+    """u * e(-1,0)^(n0+1) v in M(lam)/M_f: the leading letter of u acts on the
+    image of u one letter shorter, memoized (a cold prefix's suffixes first, in
+    a loop), so prefixes sharing a tail are straightened once.  Only f(0,0)
+    drops terms in M_f: it is the last letter, so no other letter moves past
+    it, and two level-0 negative letters bracket to degree -(a+b) < 0, never
+    to f(0,0); so no other letter changes a term's f(0,0) exponent."""
+    cold, hit = [], memo.get(u)
     while hit is None:
-        cold.append(word)
-        (lead, a) = word[0]
-        word = ((lead, a - 1),) + word[1:] if a > 1 else word[1:]
-        hit = memo.get(word)
-    for word in reversed(cold):
-        out = weight_free_engine().act(word[0][0], hit)
-        hit = memo[word] = ModuleVector._wrap({m: c for m, c in out.items() if not _in_m_f(m, n1)})
+        cold.append(u)
+        (lead, a) = u[0]
+        u = ((lead, a - 1),) + u[1:] if a > 1 else u[1:]
+        hit = memo.get(u)
+    for u in reversed(cold):
+        hit = weight_free_engine().act(u[0][0], hit)
+        if u[0][0] == _F00:
+            hit = ModuleVector._wrap({m: c for m, c in hit.items() if not _in_m_f(m, n1)})
+        memo[u] = hit
     return hit
 
 
@@ -92,8 +98,8 @@ def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[
     """Rows u * e(-1,0)^(n0+1) v at lam - eta in the basis of M(lam)/M_f, and
     the positions of that basis (f(0,0) exponent <= n1) in the weight space's.
 
-    A row is one action: a scan by height has built its memoized word with
-    the leading exponent of u lowered by one.
+    A row is one action: a scan by height has built the word of u, in the memo
+    of (n1, n0) seeded with e(-1,0)^(n0+1) v, with its lead exponent lowered.
     """
     n1, n0 = _require_dominant(hw)
     free = weight_free_engine()
@@ -102,10 +108,10 @@ def _submodule_rows(hw: HighestWeight, eta: tuple[int, int]) -> tuple[list[list[
     index = {basis[j]: i for i, j in enumerate(kept)}
     rows: list[list[int]] = []
     if eta[0] > n0:
-        memo = _WORDS.setdefault(n1, {(): ModuleVector.highest_weight_vector()})
+        memo = _WORDS.setdefault((n1, n0), {(): ModuleVector.monomial(((e(-1, 0), n0 + 1),))})
         for u in free.weight_space_basis((eta[0] - n0 - 1, eta[1])):
             row = [0] * len(kept)
-            for m, c in _word_mod_f(memo, n1, u + ((e(-1, 0), n0 + 1),)).items():
+            for m, c in _word_mod_f(memo, n1, u).items():
                 row[index[m]] = c
             rows.append(row)
     return rows, kept

@@ -237,9 +237,12 @@ def coroot(r: RootVector) -> CartanElement:
 
 
 def reflect(beta: RootVector, lam: Weight) -> Weight:
-    """Reflection r_beta(lam) = lam - lam(beta_check) * beta, beta real."""
-    coeff = lam.pair(coroot(beta))
-    return lam - coeff * Weight.from_root(beta)
+    """Reflection r_beta(lam) = lam - lam(beta_check) * beta, beta real, field by field."""
+    if classify(beta) != REAL:
+        raise ValueError(f"coroot is defined for real roots only: {beta!r}")
+    a, n1, n2 = beta
+    coeff = a * lam.h + n1 * lam.c1 + n2 * lam.c2  # lam(beta_check); only h, d1, d2 move
+    return Weight(lam.h - 2 * a * coeff, lam.c1, lam.c2, lam.d1 - n1 * coeff, lam.d2 - n2 * coeff)
 
 
 _SIMPLE = {"r0": ALPHA0, "r1": ALPHA1}

@@ -85,7 +85,8 @@ class HighestWeight(namedtuple("HighestWeight", "n1 k1 d1 d2")):
     def is_dominant_integral(self) -> bool:
         """True when n1 and n0 are both nonnegative integers."""
         # n1 and n0 = k1 - n1 are integers exactly when n1 and k1 are
-        return self.n1.denominator == 1 and self.k1.denominator == 1 and 0 <= self.n1 <= self.k1
+        n1, k1 = self.n1, self.k1
+        return n1.denominator == 1 and k1.denominator == 1 and 0 <= n1.numerator <= k1.numerator
 
     @staticmethod
     def from_weight(w: Weight) -> "HighestWeight":
@@ -202,7 +203,7 @@ def _level0_basis(a0: int, a1: int) -> list[PBWMonomial]:
             if (b0, b1) not in _BASES:
                 out: list[PBWMonomial] = [] if b0 or b1 else [VACUUM]
                 for i, (b, (c0, c1)) in enumerate(gens):
-                    exp = 1
+                    exp = 1 if i else (b0 + b1) // (c0 + c1) or 1  # only v can follow gens[0]
                     while exp * c0 <= b0 and exp * c1 <= b1:
                         rest = _BASES[(b0 - exp * c0, b1 - exp * c1)]
                         stop = bisect_left(rest, i, key=lambda m: rank[m[0][0]] if m else -1)
@@ -293,11 +294,21 @@ class VermaModule:
     # -- public action ------------------------------------------------------
 
     def act(self, x: Union[AlgebraElement, BasisElement], v: ModuleVector) -> ModuleVector:
-        """Action of an algebra element, straightened to canonical form."""
+        """Action of an algebra element, straightened to canonical form.  Each
+        generator picks its memo once, as ``_act_basis`` would; each term reads it once."""
         out: dict[PBWMonomial, Rational] = {}
         for b, cb in ((x, 1),) if isinstance(x, BasisElement) else x.items():
+            positive = _positive(b)
+            if positive is None:
+                for m, cm in v.items():
+                    add_scaled(out, self._act_basis(b, m), cb * cm)
+                continue
+            memo = self._cache if positive else weight_free_engine()._cache
             for m, cm in v.items():
-                add_scaled(out, self._act_basis(b, m), cb * cm)
+                hit = memo.get((b, m))
+                if hit is None:
+                    hit = memo[(b, m)] = self._act_basis_uncached(b, positive, m)
+                add_scaled(out, hit, cb * cm)
         return ModuleVector._wrap(out)
 
     def apply_word(self, word: Sequence[tuple[BasisElement, int]],

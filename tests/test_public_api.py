@@ -1,10 +1,13 @@
 """The package's public names, and the ones the benchmark reaches."""
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
 
 import toroidal_sl2
+from toroidal_sl2 import HighestWeight, quotient, w_multiplicity
+from toroidal_sl2.verma import VermaModule
 
 
 def test_every_public_name_resolves_once():
@@ -36,3 +39,25 @@ def test_benchmark_hooks_resolve():
     proc = subprocess.run([sys.executable, "-c", script, str(root / "bench"), str(root / "src")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_quotient_word_is_one_traced_action(fresh_weight_free, monkeypatch):
+    # bench/tracer.py times straightening (verma.act_calls, verma.straighten_s)
+    # by wrapping VermaModule.act; every word the quotient straightens must go
+    # through it, one action per word its memo gains beyond the seed
+    calls = []
+    act = VermaModule.act
+
+    @functools.wraps(act)
+    def traced(*args, **kwargs):
+        calls.append(args[1])
+        return act(*args, **kwargs)
+
+    monkeypatch.setattr(VermaModule, "act", traced)
+    monkeypatch.setattr(quotient, "_WORDS", {})
+    fresh_weight_free()
+    for height in range(9):
+        for a0 in range(height + 1):
+            w_multiplicity(HighestWeight(1, 2), (a0, height - a0))
+    assert list(quotient._WORDS) == [(1, 1)]
+    assert len(calls) == len(quotient._WORDS[(1, 1)]) - 1 > 0

@@ -137,10 +137,30 @@ def test_submodule_rows_match_words_applied_to_generators(fresh_weight_free, mon
         assert kept == [j for j, m in enumerate(basis) if dict(m).get(f(0, 0), 0) <= 1]
         e_rows, _ = submodule_span(hw, eta, generator_words(hw)[1:])
         assert rows == [[row[j] for j in kept] for row in e_rows]
-    # one memo, keyed by n1 alone, straightened into the weight-free memo
-    assert list(quotient._WORDS) == [1]
-    assert ((e(-1, 0), 2),) in quotient._WORDS[1]
+    # one memo for (n1, n0) = (1, 1), keyed by the prefix u and seeded with
+    # e(-1,0)^2 v, straightened into the weight-free memo
+    assert list(quotient._WORDS) == [(1, 1)]
+    memo = quotient._WORDS[(1, 1)]
+    assert memo[()] == ModuleVector.monomial(((e(-1, 0), 2),))
+    assert ((e(-1, 0), 1),) in memo
+    assert_words_straightened_modulo_m_f(memo, hw)
     assert free._cache
+
+
+def test_letters_other_than_f00_keep_the_f00_exponent(fresh_weight_free):
+    # why _word_mod_f drops the terms in M_f only after f(0,0): f(0,0) is the
+    # last letter, so no other letter moves past it, and two level-0
+    # negative letters bracket to a nonzero degree, never to f(0,0)
+    free = fresh_weight_free()
+    letters = [b for b, _ in _affine_negative_generators(10, 10) if b != f(0, 0)]
+    assert len(letters) == 29
+    for eta in etas_up_to(10):
+        for m in free.weight_space_basis(eta):
+            exponent = dict(m).get(f(0, 0), 0)
+            for g in letters:
+                image = free.act(g, ModuleVector.monomial(m))
+                assert image.terms
+                assert all(dict(m2).get(f(0, 0), 0) == exponent for m2 in image.terms)
 
 
 @pytest.mark.parametrize("n1,k1", [(1, 2), (0, 1), (3, 3)])
@@ -171,13 +191,15 @@ def test_submodule_dim_is_the_rank_of_both_generators_span(n1, k1):
 
 
 def assert_words_straightened_modulo_m_f(memo, hw):
-    """Every memoized word is the word applied to v with its monomials of
-    f(0,0) exponent above n1 removed, on an engine of its own."""
+    """Every memoized prefix u holds the word u * e(-1,0)^(n0+1) applied to v
+    with its monomials of f(0,0) exponent above n1 removed, on an engine of
+    its own."""
     n1 = hw.n1
+    suffix = ((e(-1, 0), int(hw.n0) + 1),)
     reference = VermaModule(hw)
     assert memo
-    for word, image in memo.items():
-        full = reference.apply_word(word)
+    for u, image in memo.items():
+        full = reference.apply_word(u + suffix)
         assert image.terms == {m: c for m, c in full.items() if dict(m).get(f(0, 0), 0) <= n1}
         assert all(dict(m).get(f(0, 0), 0) <= n1 for m in image.terms)
 
@@ -190,23 +212,28 @@ def test_memoized_words_are_straightened_modulo_m_f(n1, k1, fresh_weight_free, m
     hw = HighestWeight(n1, k1)
     for eta in etas_up_to(12):
         _submodule_rows(hw, eta)
-    assert list(quotient._WORDS) == [n1]
-    assert_words_straightened_modulo_m_f(quotient._WORDS[n1], hw)
+    assert list(quotient._WORDS) == [(n1, k1 - n1)]
+    assert_words_straightened_modulo_m_f(quotient._WORDS[(n1, k1 - n1)], hw)
 
 
-def test_weights_with_one_n1_share_one_word_memo(fresh_weight_free, monkeypatch):
-    # n0 sets only which words are asked for: (1, 2) and (1, 4) straighten
-    # u * e(-1,0)^2 v and u * e(-1,0)^4 v into the same memo
+def test_weights_with_one_n1_and_n0_share_one_word_memo(fresh_weight_free, monkeypatch):
+    # the words read n1 (the filter) and n0 (the seed e(-1,0)^(n0+1) v), not
+    # the d-values: one memo per (n1, n0), which a second d-value leaves as it is
     monkeypatch.setattr(quotient, "_WORDS", {})
     fresh_weight_free()
-    for hw in (HighestWeight(1, 2), HighestWeight(1, 4)):
-        for eta in etas_up_to(10):
-            _submodule_rows(hw, eta)
-    assert list(quotient._WORDS) == [1]
-    memo = quotient._WORDS[1]
-    assert ((e(-1, 0), 2),) in memo and ((e(-1, 0), 4),) in memo
-    for hw in (HighestWeight(1, 2), HighestWeight(1, 4)):
-        assert_words_straightened_modulo_m_f(memo, hw)
+    weights = {(1, 1): [HighestWeight(1, 2), HighestWeight(1, 2, 3, Fraction(-1, 3))],
+               (1, 3): [HighestWeight(1, 4), HighestWeight(1, 4, Fraction(5, 2), -2)]}
+    for key, hws in weights.items():
+        for i, hw in enumerate(hws):
+            for eta in etas_up_to(10):
+                _submodule_rows(hw, eta)
+            if i == 0:
+                grown = dict(quotient._WORDS[key])
+        assert quotient._WORDS[key] == grown
+    assert list(quotient._WORDS) == list(weights)
+    for key, hws in weights.items():
+        for hw in hws:
+            assert_words_straightened_modulo_m_f(quotient._WORDS[key], hw)
 
 
 def test_quotient_path_creates_no_engine():

@@ -101,6 +101,20 @@ def test_reflect_preserves_form(beta, x, y):
     assert form_hstar(reflect(beta, x), reflect(beta, y)) == form_hstar(x, y)
 
 
+@given(real_roots, weights)
+def test_reflect_matches_the_pairing_formula(beta, lam):
+    # reflect works field by field; the formula it replaced, in full
+    expected = lam - lam.pair(coroot(beta)) * Weight.from_root(beta)
+    image = reflect(beta, lam)
+    assert image == expected and all(type(x) is Fraction for x in image)
+
+
+def test_reflect_rejects_non_real_roots():
+    for beta in (DELTA1, DELTA2 - 2 * DELTA1, RootVector(0, 0, 0), RootVector(2, 1, 0)):
+        with pytest.raises(ValueError, match="real roots only"):
+            reflect(beta, Weight.make(1, 2, 0, 0, 0))
+
+
 @given(real_roots, real_roots)
 def test_reflection_maps_real_roots_to_real_roots(beta, gamma):
     image = reflect(beta, Weight.from_root(gamma))

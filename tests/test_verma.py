@@ -1,5 +1,6 @@
 """PBW straightening, weight-space bases, and the partition oracle."""
 
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key,
                           bracket, dim_oracle, e, f, find_singular, format_monomial,
                           h, module_for, root_from_q1, w_multiplicity, weight_of)
-from toroidal_sl2.algebra import C1, C2, D1, D2
+from toroidal_sl2.algebra import C1, C2, D1, D2, AlgebraElement
 from toroidal_sl2.roots import CartanElement, Weight
 from toroidal_sl2 import verma
 from toroidal_sl2.verma import (_ENGINES, VermaModule, _affine_negative_generators,
@@ -330,6 +331,26 @@ class TestEngineMemos:
             assert set(verma._BASES) == {(b0, b1) for b0 in range(eta[0] + 1)
                                          for b1 in range(eta[1] + 1)}
 
+    def test_one_dimensional_deep_drops_read_only_the_empty_drop(self, monkeypatch):
+        # the box below (2000, 0) or (0, 2000) has one letter, the first,
+        # which only v can follow: each nonzero drop bisects the basis of
+        # (0, 0) once (2,001,000 bisections when every power read a drop)
+        reads = []
+
+        def counted(rest, *args, **kwargs):
+            reads.append(rest)
+            return bisect_left(rest, *args, **kwargs)
+
+        monkeypatch.setattr(verma, "bisect_left", counted)
+        for eta, letter in [((2000, 0), e(-1, 0)), ((0, 2000), f(0, 0))]:
+            monkeypatch.setattr(verma, "_BASES", {})
+            reads.clear()
+            assert _level0_basis(*eta) == [((letter, 2000),)]
+            assert len(verma._BASES) == 2001
+            assert reads == [[()]] * 2000
+        monkeypatch.setattr(verma, "_BASES", {})
+        assert _level0_basis(6, 9) == level0_basis_reference(6, 9)
+
     def test_bases_are_sorted_and_complete(self):
         for height in range(13):
             for a0 in range(height + 1):
@@ -404,6 +425,46 @@ class TestEngineMemos:
         assert seen and {key for key in free._cache if is_negative(key[0])} == seen
         for eng in _ENGINES.values():
             assert not any(is_negative(g) for g, _ in eng._cache)
+
+    def test_act_memoizes_each_letter_where_act_basis_does(self, fresh_weight_free):
+        # act picks a letter's memo itself: negative letters go to the memo
+        # at weight zero, positive ones to the engine's, Cartan ones nowhere
+        free = fresh_weight_free()
+        eng = VermaModule(HighestWeight(Fraction(1, 2), 3, d1=2))
+        v = ModuleVector({m: i + 1 for i, m in enumerate(eng.weight_space_basis((2, 3)))})
+        where = {g: free._cache for g in (f(0, 0), e(-1, 0), h(-2, 0), f(-1, -1), e(1, -1))}
+        where.update({g: eng._cache for g in (e(0, 0), f(1, 0), h(2, 0), e(0, 1))})
+        where.update({g: None for g in CARTAN})
+        for g, memo in where.items():
+            image = eng.act(g, v)
+            for m, c in v.items():
+                for cache in (free._cache, eng._cache):
+                    assert ((g, m) in cache) == (cache is memo)
+                image = image - c * ModuleVector._wrap(eng._act_basis(g, m))
+            assert image.is_zero()
+        x = AlgebraElement({f(0, 0): 2, e(0, 0): Fraction(1, 3), h(0, 0): -1})
+        assert eng.act(x, v) == (2 * eng.act(f(0, 0), v) + Fraction(1, 3) * eng.act(e(0, 0), v)
+                                 - eng.act(h(0, 0), v))
+
+    def test_a_second_act_straightens_nothing(self, fresh_weight_free, monkeypatch):
+        # each term of a repeated action is one memo read
+        fresh_weight_free()
+        calls = []
+        uncached = VermaModule._act_basis_uncached
+
+        def counted(self, g, positive, m):
+            calls.append((g, m))
+            return uncached(self, g, positive, m)
+
+        monkeypatch.setattr(VermaModule, "_act_basis_uncached", counted)
+        eng = VermaModule(HighestWeight(1, 2))
+        v = ModuleVector({m: 1 for m in eng.weight_space_basis((3, 3))})
+        for g in (f(0, 0), e(-1, 0), h(-2, 0), e(0, 0), f(1, 0), h(0, 0)):
+            first = eng.act(g, v)
+            assert bool(calls) == (g != h(0, 0))
+            calls.clear()
+            assert eng.act(g, v) == first
+            assert calls == []
 
     def test_engine_registry_keeps_the_newest(self):
         # one slot: the engine of the last weight asked for

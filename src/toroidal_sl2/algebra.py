@@ -21,21 +21,43 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 import re
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .roots import RootVector, Rational, frac
 
 E, F, H = "e", "f", "h"
 
 
-class BasisElement(NamedTuple):
+_KIND_RANK = {F: 0, H: 1, E: 2}
+_CONST_RANK = {"c1": 0, "c2": 1, "d1": 2, "d2": 3}
+
+# Unbounded, as it holds only letters a run builds: a level-0 scan to
+# depth D builds e, f and h at degrees (-k, 0) for k <= D, so O(D) letters.
+_LETTERS: dict = {}
+
+
+class BasisElement:
     """One generator: a loop element with a degree, or one of c1, c2, d1, d2.
 
-    A tuple, so the engine memos keyed on generators hash them in C.
+    Interned: ``BasisElement(kind, degree)`` returns the one object for its
+    fields, so the engine memos keyed on generators hash and compare them
+    by identity, in C.  ``key`` is its ``basis_sort_key``, computed once.
+    Pickles and copies return the same object.
     """
 
-    kind: str
-    degree: Optional[tuple[int, int]]
+    __slots__ = ("kind", "degree", "key")
+
+    def __new__(cls, kind: str, degree: Optional[tuple[int, int]]) -> "BasisElement":
+        self = _LETTERS.get((kind, degree))
+        if self is None:
+            self = _LETTERS[(kind, degree)] = object.__new__(cls)
+            self.kind, self.degree = kind, degree
+            self.key = ((1, _CONST_RANK[kind]) if degree is None
+                        else (0, -degree[1], -degree[0], _KIND_RANK[kind]))
+        return self
+
+    def __reduce__(self):
+        return (BasisElement, (self.kind, self.degree))
 
     def __repr__(self) -> str:
         if self.degree is None:
@@ -44,23 +66,16 @@ class BasisElement(NamedTuple):
         return f"{self.kind}({m},{n})"
 
 
-# Unbounded, as it holds only letters a run builds: a level-0 scan to
-# depth D builds e, f and h at degrees (-k, 0) for k <= D, so O(D) letters.
-@lru_cache(maxsize=None)
-def _loop(kind: str, m: int, n: int) -> BasisElement:
-    return BasisElement(kind, (m, n))
-
-
 def e(m: int, n: int) -> BasisElement:
-    return _loop(E, m, n)
+    return BasisElement(E, (m, n))
 
 
 def f(m: int, n: int) -> BasisElement:
-    return _loop(F, m, n)
+    return BasisElement(F, (m, n))
 
 
 def h(m: int, n: int) -> BasisElement:
-    return _loop(H, m, n)
+    return BasisElement(H, (m, n))
 
 
 C1 = BasisElement("c1", None)
@@ -87,22 +102,17 @@ def weight_of(b: BasisElement) -> RootVector:
     return RootVector(ALPHA_COEFF[b.kind], m, n)
 
 
-_KIND_RANK = {F: 0, H: 1, E: 2}
-_CONST_RANK = {"c1": 0, "c2": 1, "d1": 2, "d2": 3}
-
-
 def basis_sort_key(b: BasisElement) -> tuple:
     """The strict total order on generators: (-n, -m, rank f < h < e).
 
     Loop elements sort before the constants; the key groups generators by
     delta2-degree, then delta1-degree, so delta2-level-0 computations stay
     self-contained.  Any fixed total order makes the straightening in the
-    module engine terminate; the engine uses this one only.
+    module engine terminate; the engine uses this one only.  Read off
+    ``b.key``, which each letter computes once: ``(0, -n, -m, rank)`` for
+    a loop letter and ``(1, rank of c1 < c2 < d1 < d2)`` for a constant.
     """
-    if b.degree is None:
-        return (1, _CONST_RANK[b.kind])
-    m, n = b.degree
-    return (0, -n, -m, _KIND_RANK[b.kind])
+    return b.key
 
 
 def add_scaled(out: dict, terms: Mapping, scale: Rational) -> None:
@@ -234,7 +244,7 @@ def _bracket_basis(x: BasisElement, y: BasisElement) -> "AlgebraElement":
     lie = _SL2_BRACKET.get((x.kind, y.kind))
     if lie is not None:
         kind, coeff = lie
-        out[_loop(kind, m + p, n + q)] = coeff
+        out[BasisElement(kind, (m + p, n + q))] = coeff
     if (m, n) == (-p, -q):
         form = _SL2_FORM.get((x.kind, y.kind), 0)
         out[C1] = form * m
@@ -323,7 +333,7 @@ def parse_element(text: str) -> AlgebraElement:
         elif tok.group("gen"):
             if gen is not None:
                 raise ValueError("a term may contain at most one generator")
-            gen = _loop(tok.group("gen"), int(tok.group("m")), int(tok.group("n")))
+            gen = BasisElement(tok.group("gen"), (int(tok.group("m")), int(tok.group("n"))))
             seen_factor = True
         elif tok.group("const"):
             if gen is not None:

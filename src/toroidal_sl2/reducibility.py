@@ -101,8 +101,9 @@ def kk_pairs(hw: HighestWeight, kmax: int) -> list[ResonancePair]:
         for k in range(kmin + (r - kmin) % s.denominator, kmax + 1, s.denominator):
             l = c + k * s
             if l >= 1:
-                beta = RootVector(a, k, 0)
-                out.append(ResonancePair(beta, int(l), lam - l * Weight.from_root(beta)))
+                l = int(l)  # lam - l*beta, field by field
+                out.append(ResonancePair(RootVector(a, k, 0), l, Weight(
+                    lam.h - 2 * a * l, lam.c1, lam.c2, lam.d1 - k * l, lam.d2)))
     # order by height of l*beta in simple-root coordinates, then by family
     out.sort(key=lambda p: (p.l * (2 * p.beta.n1 + p.beta.a), p.beta.n1, -p.beta.a))
     return out

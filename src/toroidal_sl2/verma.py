@@ -102,7 +102,7 @@ def monomial_degree(m: PBWMonomial) -> int:
 
 
 # Unbounded, as it classifies only letters a run acts with or meets:
-# O(D) letters on a level-0 scan to depth D, as for algebra._loop.
+# O(D) letters on a level-0 scan to depth D, as algebra interns.
 @lru_cache(maxsize=None)
 def _positive(g: BasisElement) -> Optional[bool]:
     """None for a Cartan generator, else whether the root of g is positive."""
@@ -207,7 +207,8 @@ def _level0_basis(a0: int, a1: int) -> list[PBWMonomial]:
                     while exp * c0 <= b0 and exp * c1 <= b1:
                         rest = _BASES[(b0 - exp * c0, b1 - exp * c1)]
                         stop = bisect_left(rest, i, key=lambda m: rank[m[0][0]] if m else -1)
-                        out.extend(((b, exp),) + m for m in rest[:stop])
+                        head = ((b, exp),)  # one pair shared by the monomials of b^exp
+                        out.extend(head + m for m in rest[:stop])
                         exp += 1
                 _BASES[(b0, b1)] = out
     return _BASES[(a0, a1)]
@@ -259,11 +260,11 @@ class VermaModule:
         if not m:
             return {} if positive else {((g, 1),): 1}
         (lead, a) = m[0]
-        kl = basis_sort_key(lead)
+        kl = lead.key
         if not positive:
             if g == lead:
                 return {((lead, a + 1),) + m[1:]: 1}
-            if basis_sort_key(g) > kl:
+            if g.key > kl:
                 return {((g, 1),) + m: 1}
         # m must be canonical, else a negative g reads lam into the shared memo
         if _positive(lead) is not False:
@@ -278,7 +279,7 @@ class VermaModule:
         for m2, c2 in self._act_basis(g, tail).items():
             # termination: the degree-preserving part of g*tail is the
             # sorted multiset of its letters, so lead re-attaches directly.
-            if (m2 and kl < basis_sort_key(m2[0][0])
+            if (m2 and kl < m2[0][0].key
                     and monomial_degree(m2) >= monomial_degree(m)):
                 raise AssertionError(f"straightening: {lead!r} does not re-attach "
                                      f"to {format_monomial(m2)}")

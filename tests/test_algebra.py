@@ -1,5 +1,6 @@
 """Bracket table, gradings, and the element text syntax."""
 
+import copy
 from fractions import Fraction
 import pickle
 
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 from toroidal_sl2 import (AlgebraElement, BasisElement, ModuleVector,
                           RootVector, bracket, e, f, format_element, h,
                           parse_element, weight_of)
-from toroidal_sl2.algebra import C1, C2, D1, D2, add_scaled
+from toroidal_sl2.algebra import C1, C2, D1, D2, add_scaled, basis_sort_key
 
 from conftest import random_basis_element
 
@@ -52,13 +53,28 @@ def test_weight_of():
     assert weight_of(h(0, 3)) == RootVector(0, 0, 3)
 
 
-def test_basis_element_hashes_as_the_tuple_of_its_fields():
-    # the C hash of tuples, with the value the dataclass hash had, so the
-    # iteration order of every dict and set keyed on generators is kept
-    assert BasisElement.__hash__ is tuple.__hash__
-    assert hash(e(0, 0)) == hash(("e", (0, 0)))
-    assert hash(C1) == hash(("c1", None))
+def test_basis_element_is_interned_and_hashed_by_identity():
+    # one object per letter, so memos keyed on letters hash and compare them
+    # by address, in C; copies and pickles land on the same object
+    assert BasisElement("e", (0, 0)) is e(0, 0)
+    assert BasisElement("f", (-2, 1)) is f(-2, 1) and BasisElement("h", (3, -1)) is h(3, -1)
+    for name, b in (("c1", C1), ("c2", C2), ("d1", D1), ("d2", D2)):
+        assert BasisElement(name, None) is b
+    for b in (e(0, 0), f(-2, 1), h(3, -1), C1, C2, D1, D2):
+        assert pickle.loads(pickle.dumps(b)) is b
+        assert copy.copy(b) is b and copy.deepcopy(b) is b
+    assert copy.deepcopy(((f(-1, 0), 2), (f(0, 0), 1)))[0][0] is f(-1, 0)
+    assert BasisElement.__hash__ is object.__hash__
+    assert BasisElement.__eq__ is object.__eq__
     assert repr(f(-2, 1)) == "f(-2,1)" and repr(D2) == "d2"
+    # the order key, cached on the letter, is the formula it replaced
+    rank = {"f": 0, "h": 1, "e": 2}
+    for kind, mk in (("e", e), ("f", f), ("h", h)):
+        for m in range(-4, 5):
+            for n in range(-4, 5):
+                assert basis_sort_key(mk(m, n)) == (0, -n, -m, rank[kind])
+    for i, b in enumerate((C1, C2, D1, D2)):
+        assert basis_sort_key(b) == (1, i)
 
 
 def test_basis_element_pickle_round_trip():
@@ -69,7 +85,6 @@ def test_basis_element_pickle_round_trip():
 
 
 def test_sort_key_is_a_strict_total_order():
-    from toroidal_sl2.algebra import C1, C2, D1, D2, basis_sort_key
     pool = [mk(m, n) for mk in (e, f, h) for m in range(-3, 4) for n in range(-3, 4)]
     pool += [C1, C2, D1, D2]
     keys = [basis_sort_key(b) for b in pool]

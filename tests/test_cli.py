@@ -291,6 +291,26 @@ def test_golden_stdout_on_other_interpreters(name):
         assert hashlib.sha256(proc.stderr).hexdigest() == GOLDEN_STDERR[i], argv
 
 
+# generators hash by address, and strings by a per-process seed: no report
+# may read either through the iteration order of a set
+@pytest.mark.parametrize("argv", [
+    ("singular", "--weight", W12, "--depth", "10", "--jobs", "1"),
+    ("quotient-char", "--weight", W12, "--depth", "10", "--jobs", "2"),
+    ("singular", "--weight", '{"h":"1/2","c1":"7/3","c2":"0","d1":"0","d2":"0"}',
+     "--eta", "3,3"),
+], ids=lambda argv: argv[0])
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-m", "toroidal_sl2", *argv],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]
+
+
 @pytest.mark.parametrize("weight,field", [
     ('{"h":"0","c1":"0","c2":"0","d1":"0"}', "d2"),
     ('{"h":"0","c1":"0","c2":"1","d1":"0","d2":"0"}', "c2"),

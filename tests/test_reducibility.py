@@ -61,6 +61,25 @@ def test_kk_pairs_match_general_pairing_route(rng):
     assert hits > 100
 
 
+def test_quotient_weights_match_the_root_formula(rng):
+    # the test_c05 distribution, every other weight with d1, d2 nonzero, at
+    # the decision bound; the weight is lam - l*beta, each field a Fraction
+    shifted = 0
+    for i in range(400):
+        n1 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        k1 = Fraction(rng.randint(0, 8), rng.randint(1, 4))
+        d1, d2 = ((Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in "ab")
+                  if i % 2 else (0, 0))
+        hw = HighestWeight(n1, k1, d1, d2)
+        for p in kk_pairs(hw, sufficient_kmax(hw)):
+            old = hw.weight() - p.l * Weight.from_root(p.beta)
+            assert p.quotient_weight == old
+            assert all(type(x) is Fraction for x in p.quotient_weight)
+            assert p.quotient_weight.to_json() == old.to_json()
+            shifted += bool(hw.d1 and hw.d2)
+    assert shifted > 100
+
+
 def walk_kk_pairs(hw, kmax):
     # every k up to kmax, as the scan did before it solved for integral terms
     lam = hw.weight()

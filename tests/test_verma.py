@@ -331,6 +331,17 @@ class TestEngineMemos:
             assert set(verma._BASES) == {(b0, b1) for b0 in range(eta[0] + 1)
                                          for b1 in range(eta[1] + 1)}
 
+    def test_monomials_of_one_letter_power_share_its_pair(self, monkeypatch):
+        # one (letter, exponent) object per power and drop, not one per monomial
+        monkeypatch.setattr(verma, "_BASES", {})
+        _level0_basis(8, 8)
+        for basis in verma._BASES.values():
+            heads = {}
+            for m in basis:
+                if m:
+                    assert heads.setdefault(m[0], m[0]) is m[0]
+        assert len(verma._BASES[(8, 8)]) > len({m[0] for m in verma._BASES[(8, 8)]})
+
     def test_one_dimensional_deep_drops_read_only_the_empty_drop(self, monkeypatch):
         # the box below (2000, 0) or (0, 2000) has one letter, the first,
         # which only v can follow: each nonzero drop bisects the basis of

@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Each row is scaled to a primitive integer row and kept sparse, as a dict
-column -> value; rows of ints skip the rescaling.  Every elimination step
-is one row update: a row with entry f in the pivot column becomes the
-primitive part of (p/g) row - (f/g) pivot row, p the pivot and
-g = gcd(p, f).  The elimination copies its input rows once and updates
-them in place, in one pass over the pivot row that also keeps the index
-of active rows per column; the row is scaled only when p/g is not 1 and
-divided only when its content is not 1.
+column -> value; rows of ints skip the rescaling, and a dense row's
+nonzeros are picked out in C.  Every elimination step is one row update:
+a row with entry f in the pivot column becomes (p/g) row - (f/g) pivot
+row, p the pivot and g = gcd(p, f).  The elimination copies its input rows
+once and updates them in place, in one pass over the pivot row that also
+keeps the index of active rows per column; the row is scaled only when
+p/g is not 1.  Its content is divided out once, when it becomes a pivot:
+the primitive part of a row does not depend on its positive scale, so the
+pivots are those of taking the primitive part after every update.
 Pivots are chosen row first: the active row with the fewest nonzeros
 (taken from a heap), in it the column with the fewest active rows, then
 the smallest entry, ties to the lowest index; only the rows meeting the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import compress, count
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Sequence
@@ -41,9 +44,20 @@ def _primitive(entries: Iterable[tuple[int, Rational]]) -> dict[int, int]:
     return _content_free({j: c.numerator * (denom // c.denominator) for j, c in nonzero.items()})
 
 
+def _sparse(row: Sequence[Rational]) -> dict[int, int]:
+    """A dense row read as ``_primitive`` reads its entries."""
+    nonzero = dict(zip(compress(count(), row), filter(None, row)))
+    try:
+        g = gcd(*nonzero.values())
+    except TypeError:  # a Fraction entry: clear the denominators first
+        return _primitive(nonzero.items())
+    return nonzero if g == 1 else {j: v // g for j, v in nonzero.items()}
+
+
 def _update(row: dict[int, int], prow: dict[int, int], pc: int) -> dict[int, int]:
     """Primitive part of (p/g) row - (f/g) prow, which is zero in column pc,
-    as a new row; ``_eliminate`` makes the same update in place."""
+    as a new row; ``_eliminate`` makes the same update in place and takes
+    the primitive part when the row becomes a pivot."""
     p, f = prow[pc], row[pc]
     g = gcd(p, f)
     a, b = p // g, f // g
@@ -77,7 +91,12 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
         if len(active.get(pi, ())) != n:
             continue
         prow = active.pop(pi)
-        pc = min(prow, key=lambda j: (len(rows_in[j]), abs(prow[j]), j))
+        g = gcd(*prow.values())
+        if g != 1:
+            for j, v in prow.items():
+                prow[j] = v // g
+        # the column with the fewest active rows, then the smallest entry, then the lowest
+        pc = min(zip(map(len, map(rows_in.__getitem__, prow)), map(abs, prow.values()), prow))[2]
         p = prow[pc]
         rest = []
         for j, v in prow.items():
@@ -85,8 +104,7 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
             meets.discard(pi)
             if j != pc:
                 rest.append((j, v, meets))
-        # row <- primitive part of (p/g) row - (f/g) prow, f = row[pc], g = gcd(p, f);
-        # no row meets pc afterwards
+        # row <- (p/g) row - (f/g) prow, f = row[pc], g = gcd(p, f); no row meets pc afterwards
         for i in rows_in.pop(pc):
             row = active[i]
             f = row.pop(pc)
@@ -106,10 +124,6 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
                     del row[j]
                     meets.discard(i)
             if row:
-                g = gcd(*row.values())
-                if g != 1:
-                    for j, v in row.items():
-                        row[j] = v // g
                 heappush(queue, (len(row), i))
             else:
                 del active[i]
@@ -119,7 +133,7 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
     """Rank of a matrix given as a list of rows."""
-    return len(_eliminate([_primitive(enumerate(row)) for row in rows]))
+    return len(_eliminate([_sparse(row) for row in rows]))
 
 
 def nullspace(rows: Sequence[Sequence[Rational]], ncols: int) -> list[dict[int, int]]:
@@ -132,7 +146,7 @@ def nullspace(rows: Sequence[Sequence[Rational]], ncols: int) -> list[dict[int, 
     """
     if any(len(r) != ncols for r in rows):
         raise ValueError(f"every row must have ncols = {ncols} entries")
-    pivots = _eliminate([_primitive(enumerate(row)) for row in rows])
+    pivots = _eliminate([_sparse(row) for row in rows])
     pivot_cols = {pc for pc, _ in pivots}
     rest = []
     for fc in range(ncols):

@@ -37,7 +37,8 @@ from . import linalg
 from .algebra import e, f, h
 # bench/tracer.py wraps quotient.dot_action by name, so the import stays
 from .roots import dot_action  # noqa: F401
-from .singular import RAISING, _RAISING_DROP, _raising_matrix, dot_orbit_drops
+from .singular import (RAISING, _RAISING_DROP, _pencil_part, _raising_matrices,
+                       dot_orbit_drops)
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, dim_oracle, format_monomial,
                     module_for, weight_free_engine)
 
@@ -170,15 +171,16 @@ def quotient_singular_dim(hw: HighestWeight, eta: tuple[int, int]) -> int:
     eta.  It contains the slice at eta itself, which is subtracted.
 
     Only the columns of M(lam)/M_f are straightened, also where a target
-    space is empty and ``_raising_matrix`` checks that g kills them.  That
+    space is empty and ``_pencil_part`` checks that g kills them.  That
     check then skips only the monomials f(0,0)^a v with a > n1 at eta =
     (0, a), which f(1,0) kills as [f(1,0), f(0,0)] = 0.
     """
     basis = weight_free_engine().weight_space_basis(eta)
     s_eta, cols = _submodule_rows(hw, eta)
+    columns = [basis[j] for j in cols]
+    pencil = [_pencil_part(g, columns, eta) for g in RAISING]
     blocks = []
-    for g in RAISING:
-        a_g = _raising_matrix(hw, g, [basis[j] for j in cols], eta)
+    for g, a_g in zip(RAISING, _raising_matrices(hw, pencil, len(cols))):
         d0, d1 = _RAISING_DROP[g]
         s_g, kept = _submodule_rows(hw, (eta[0] - d0, eta[1] - d1)) if a_g else ([], [])
         blocks.append(([a_g[i] for i in kept], s_g))

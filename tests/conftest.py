@@ -27,11 +27,13 @@ def rng():
 @pytest.fixture
 def fresh_weight_free(monkeypatch):
     """Each call swaps in a new engine at weight zero, whose memo starts
-    empty, for the rest of the test, and returns it."""
+    empty, and an empty memo of raising pencils (each read from that memo),
+    for the rest of the test, and returns the engine."""
     def swap():
         free = VermaModule(HighestWeight(0, 0))
         for module in (verma, singular, quotient):
             monkeypatch.setattr(module, "weight_free_engine", lambda: free)
+        monkeypatch.setattr(singular, "_PENCILS", {})
         return free
     return swap
 
@@ -144,3 +146,21 @@ def submodule_span(hw, eta, words=None):
                     row[index[m]] = c
                 rows.append(row)
     return rows, basis
+
+
+def stacked_raising_rows(hw, eta):
+    """The stacked raising matrix ``find_singular`` eliminates at lam - eta:
+    the e(0,0) rows, then the f(1,0) rows, evaluated from the drop's pencil."""
+    ncols = len(verma.weight_free_engine().weight_space_basis(eta))
+    return [row for matrix in singular._raising_matrices(hw, singular.raising_pencil(eta), ncols)
+            for row in matrix]
+
+
+def drawn_weights(rng, count):
+    """``count`` distinct rational highest weights, sorted, drawn as the
+    benchmark's weights workload draws them."""
+    weights = set()
+    while len(weights) < count:
+        weights.add(HighestWeight(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                                  Fraction(rng.randint(0, 8), rng.randint(1, 4))))
+    return sorted(weights)

@@ -435,7 +435,9 @@ BROKEN_CHECKS = {
                     ("reducible", "--weight", WGEN), "integrality period"),
     "empty-target": ("singular._RAISING_DROP[singular.e(0, 0)] = (0, 2)",
                      ("singular", "--weight", W11, "--eta", "0,1"), "target weight space is empty"),
-    "weight-term": ("singular._weight_term = lambda hw, g: 0",
+    "weight-term": ("_m = singular._raising_matrices\n"
+                    "singular._raising_matrices = lambda hw, pencil, ncols: _m(\n"
+                    "    verma.HighestWeight(0, 0), pencil, ncols)",
                     ("singular", "--weight", W12, "--eta", "0,1"), "annihilated"),
 }
 

@@ -5,12 +5,12 @@ from fractions import Fraction
 from math import gcd, lcm
 import random
 
-from toroidal_sl2 import HighestWeight, linalg, module_for
+from toroidal_sl2 import HighestWeight, demo_infinite_dim, linalg, module_for, w_multiplicity
 from toroidal_sl2.quotient import _submodule_rows
-from toroidal_sl2.singular import RAISING, _raising_matrix, scan_drops
+from toroidal_sl2.singular import scan_drops
 from toroidal_sl2.verma import weight_free_engine
 
-from conftest import submodule_span
+from conftest import drawn_weights, stacked_raising_rows, submodule_span
 
 
 def rows(*data):
@@ -210,9 +210,8 @@ def test_row_first_pivoting_bounds_row_updates(monkeypatch):
     # stacked raising matrix at eta (8, 8), 660 x 480 of full column rank;
     # picking the sparsest column first took 12,001 row updates here
     hw, eta = HighestWeight(1, 2), (8, 8)
-    engine = module_for(hw)
-    basis = engine.weight_space_basis(eta)
-    stacked = [row for g in RAISING for row in _raising_matrix(engine.hw, g, basis, eta)]
+    basis = module_for(hw).weight_space_basis(eta)
+    stacked = stacked_raising_rows(hw, eta)
     sparse = [linalg._primitive(enumerate(row)) for row in stacked]
     # a row update leaves its row nonzero, and pushes it back on the heap,
     # or empties it; every nonzero input row ends a pivot or emptied
@@ -301,9 +300,7 @@ def test_heap_pivot_order_matches_linear_scan():
         sparse = shrinking_rows(random.Random(seed))
         assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
     # and on a stacked raising matrix
-    engine = module_for(HighestWeight(1, 2))
-    basis = engine.weight_space_basis((5, 5))
-    stacked = [row for g in RAISING for row in _raising_matrix(engine.hw, g, basis, (5, 5))]
+    stacked = stacked_raising_rows(HighestWeight(1, 2), (5, 5))
     sparse = [linalg._primitive(enumerate(row)) for row in stacked]
     assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
     # and on a submodule span, 87 of whose 137 rows have one entry
@@ -327,6 +324,47 @@ def test_heap_pivot_order_matches_linear_scan():
     assert pivots == _eliminate_by_scan(cascade) and len(pivots) == 4
 
 
+def test_pivot_rows_are_primitive_and_match_the_scan(rng, monkeypatch):
+    # the elimination divides a row by its content only when it becomes a
+    # pivot; the reference divides after every update, and proportional
+    # primitive rows are equal
+    cases = [shrinking_rows(random.Random(seed)) for seed in range(40)]
+    # the (4, 4) probe of the weights workload
+    cases += [[linalg._sparse(row) for row in stacked_raising_rows(hw, (4, 4))]
+              for hw in drawn_weights(rng, 24)]
+    # every block the quotient ranks on a scan to height 10
+    blocks = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: blocks.append(rows) or rank(rows))
+    for hw in (HighestWeight(1, 2), HighestWeight(2, 3)):
+        for eta in scan_drops(0, 10):
+            w_multiplicity(hw, eta)
+    cases += [[linalg._sparse(row) for row in rows] for rows in blocks if rows]
+    assert len(blocks) == 2 * 66 and len(cases) > 150
+    for sparse in cases:
+        pivots = linalg._eliminate(sparse)
+        assert all(gcd(*prow.values()) == 1 for _, prow in pivots)
+        assert pivots == _eliminate_by_scan(sparse)
+
+
+def test_dense_rows_are_read_as_primitive_reads_them(rng, monkeypatch):
+    # ints without a denominator to clear, and Fraction rows through the lcm:
+    # the pairing matrix of the infinite-dimensionality demo at a rational
+    # level, and the random rational cases
+    matrices = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: matrices.append(rows) or rank(rows))
+    demo_infinite_dim(HighestWeight(Fraction(1, 3), Fraction(5, 3)), 6)
+    assert matrices and any(type(c) is Fraction and c.denominator > 1
+                            for row in matrices[0] for c in row)
+    matrices += random_cases(rng)
+    matrices += [[[int(c * 6) for c in row] for row in a] for a in random_cases(rng)]
+    matrices += [[[0, 0]], [[Fraction(0), Fraction(3, 2)]], [[0, Fraction(4), -6]]]
+    for a in matrices:
+        for row in a:
+            assert linalg._sparse(row) == linalg._primitive(enumerate(row))
+
+
 def test_elimination_leaves_the_callers_rows_unchanged():
     # the kernel updates its rows in place, so it must work on copies
     for seed in range(40):
@@ -336,9 +374,8 @@ def test_elimination_leaves_the_callers_rows_unchanged():
         assert sparse == before
         assert _eliminate_by_scan(sparse) == linalg._eliminate(sparse)
         assert sparse == before
-    engine = module_for(HighestWeight(1, 2))
-    basis = engine.weight_space_basis((5, 5))
-    stacked = [row for g in RAISING for row in _raising_matrix(engine.hw, g, basis, (5, 5))]
+    basis = module_for(HighestWeight(1, 2)).weight_space_basis((5, 5))
+    stacked = stacked_raising_rows(HighestWeight(1, 2), (5, 5))
     block, kept = _submodule_rows(HighestWeight(1, 2), (9, 4))
     for dense_rows, ncols in [(stacked, len(basis)), (block, len(kept))]:
         before = copy.deepcopy(dense_rows)
@@ -357,13 +394,9 @@ def assert_matches_reference(a, ncols):
 def test_production_matrices_match_reference(rng):
     # the (4, 4) probe at rational weights drawn as the benchmark's weights
     # workload draws them, and the rows the quotient eliminates
-    weights = set()
-    while len(weights) < 24:
-        weights.add(HighestWeight(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                                  Fraction(rng.randint(0, 8), rng.randint(1, 4))))
     basis = weight_free_engine().weight_space_basis((4, 4))
-    for hw in sorted(weights):
-        stacked = [row for g in RAISING for row in _raising_matrix(hw, g, basis, (4, 4))]
+    for hw in drawn_weights(rng, 24):
+        stacked = stacked_raising_rows(hw, (4, 4))
         assert (len(stacked), len(basis)) == (38, 32)
         assert_matches_reference(stacked, len(basis))
     blocks = 0

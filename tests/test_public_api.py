@@ -3,10 +3,11 @@
 import functools
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import toroidal_sl2
-from toroidal_sl2 import HighestWeight, quotient, w_multiplicity
+from toroidal_sl2 import HighestWeight, find_singular, linalg, quotient, w_multiplicity
 from toroidal_sl2.verma import VermaModule
 
 
@@ -61,3 +62,25 @@ def test_every_quotient_word_is_one_traced_action(fresh_weight_free, monkeypatch
             w_multiplicity(HighestWeight(1, 2), (a0, height - a0))
     assert list(quotient._WORDS) == [(1, 1)]
     assert len(calls) == len(quotient._WORDS[(1, 1)]) - 1 > 0
+
+
+def test_tracer_reads_the_stacked_raising_rows(monkeypatch):
+    # bench/tracer.py's matrix_stats reads dense rows and their width from
+    # the linalg call; its counters on find_singular's matrices are pinned
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer
+    seen = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda rows, ncols: seen.append((rows, ncols)) or nullspace(rows, ncols))
+    expected = [
+        (HighestWeight(1, 2), (8, 8), {"rows": 660, "cols": 480, "nnz": 4065, "bits": 15}),
+        (HighestWeight(1, 2), (2, 6), {"rows": 12, "cols": 9, "nnz": 27, "bits": 5}),
+        (HighestWeight(Fraction(-7, 4), Fraction(3, 4)), (4, 4),
+         {"rows": 38, "cols": 32, "nnz": 140, "bits": 8}),
+        (HighestWeight(Fraction(5, 3), Fraction(1, 2)), (6, 3),
+         {"rows": 30, "cols": 22, "nnz": 94, "bits": 9}),
+    ]
+    for hw, eta, stats in expected:
+        find_singular(hw, eta)
+        assert tracer.matrix_stats(*seen[-1]) == stats, (hw, eta)

@@ -12,7 +12,7 @@ from toroidal_sl2 import (HighestWeight, ModuleVector, basis_sort_key, cli, demo
                           module_for, quotient, quotient_singular_dim,
                           submodule_dim_at, w_multiplicity)
 from toroidal_sl2.quotient import _submodule_rows
-from toroidal_sl2.singular import _RAISING_DROP, RAISING, _raising_matrix
+from toroidal_sl2.singular import _RAISING_DROP, RAISING, _raising_matrices, raising_pencil
 from toroidal_sl2.verma import _ENGINES, VermaModule, _affine_negative_generators, weight_free_engine
 
 from conftest import generator_words, submodule_span
@@ -269,7 +269,8 @@ def test_integral_weight_straightens_over_the_integers():
     engine = module_for(hw)
     for eta in etas_up_to(8):
         w_multiplicity(hw, eta)
-    matrix = _raising_matrix(engine.hw, RAISING[0], engine.weight_space_basis((3, 3)), (3, 3))
+    ncols = len(engine.weight_space_basis((3, 3)))
+    matrix = _raising_matrices(hw, raising_pencil((3, 3)), ncols)[0]
     assert all(type(c) is int for row in matrix for c in row)
     assert find_singular(hw, (0, 2)).kernel_dim == 1
     for cache in (engine._cache, weight_free_engine()._cache):
@@ -313,10 +314,10 @@ def block_nullspace_singular_dim(hw, eta, words=None):
     basis = engine.weight_space_basis(eta)
     n = len(basis)
     per_target = []
-    for g in RAISING:
+    for g, a_g in zip(RAISING, _raising_matrices(hw, raising_pencil(eta), n)):
         t = (eta[0] - _RAISING_DROP[g][0], eta[1] - _RAISING_DROP[g][1])
         s_g = independent(submodule_span(hw, t, words)[0]) if min(t) >= 0 else []
-        per_target.append((_raising_matrix(engine.hw, g, basis, eta), s_g))
+        per_target.append((a_g, s_g))
     width = sum(len(s_g) for _, s_g in per_target)
     blocks, offset = [], n
     for a_g, s_g in per_target:
@@ -338,16 +339,16 @@ def test_quotient_singular_dim_matches_block_nullspace(n1, k1):
 
 
 def test_quotient_singular_dim_checks_empty_targets(monkeypatch):
-    # both raising matrices are built even where a target space is empty, so
-    # _raising_matrix checks that the generator kills the whole weight space
+    # both pencil parts are built even where a target space is empty, so
+    # _pencil_part checks that the generator kills the whole weight space
     calls = []
-    raising_matrix = quotient._raising_matrix
+    pencil_part = quotient._pencil_part
 
-    def recorded(hw, g, basis, eta):
+    def recorded(g, basis, eta):
         calls.append((g, eta))
-        return raising_matrix(hw, g, basis, eta)
+        return pencil_part(g, basis, eta)
 
-    monkeypatch.setattr(quotient, "_raising_matrix", recorded)
+    monkeypatch.setattr(quotient, "_pencil_part", recorded)
     for eta in [(0, 0), (0, 3), (2, 0)]:
         quotient_singular_dim(HighestWeight(1, 2), eta)
     assert calls == [(g, eta) for eta in [(0, 0), (0, 3), (2, 0)] for g in RAISING]

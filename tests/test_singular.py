@@ -1,5 +1,6 @@
 """Kernel scans for singular vectors and the shifted-orbit comparison."""
 
+import copy
 import io
 from fractions import Fraction
 
@@ -7,13 +8,14 @@ import pytest
 
 from toroidal_sl2 import (HighestWeight, ModuleVector, SingularCertificate, cli, e, f,
                           find_singular, h, is_reducible, linalg, module_for, orbit_report,
-                          scan_weights, singular)
+                          quotient_singular_dim, scan_weights, singular)
 from toroidal_sl2.roots import dot_action, q1_coords, weight_as_root
-from toroidal_sl2.singular import (_RAISING_DROP, RAISING, _raising_matrix, dot_orbit_drops,
-                                   dot_orbit_etas, scan_drops)
+from toroidal_sl2.quotient import _in_m_f
+from toroidal_sl2.singular import (_RAISING_DROP, RAISING, _raising_matrices, dot_orbit_drops,
+                                   dot_orbit_etas, raising_pencil, scan_drops)
 from toroidal_sl2.verma import _ENGINES, VermaModule, weight_free_engine
 
-from conftest import is_negative
+from conftest import drawn_weights, is_negative
 
 
 def test_raising_generators():
@@ -91,19 +93,23 @@ def _random_rational(rng, low, high):
 
 
 def test_raising_matrix_matches_act_at_the_weight(rng):
-    # q R_g(0) + p L_g = q R_g(lam), n = p/q, against straightening at lam;
-    # fresh engines, so no action that reads lam comes from another weight's memo
-    for _ in range(50):
-        hw = HighestWeight(_random_rational(rng, -9, 9), _random_rational(rng, 0, 9),
-                           _random_rational(rng, -5, 5), _random_rational(rng, -5, 5))
+    # q R_g(0) + p L_g = q R_g(lam), n = p/q, evaluated from each drop's
+    # pencil, against straightening each column's monomial at lam; fresh
+    # engines, so no action that reads lam comes from another weight's memo.
+    # Random weights with d-values, then weights drawn as the benchmark's
+    # weights workload draws them
+    weights = [HighestWeight(_random_rational(rng, -9, 9), _random_rational(rng, 0, 9),
+                             _random_rational(rng, -5, 5), _random_rational(rng, -5, 5))
+               for _ in range(50)]
+    for hw in weights + drawn_weights(rng, 12):
         engine = VermaModule(hw)
         for eta in scan_drops(0, 10):
             basis = engine.weight_space_basis(eta)
-            for g in RAISING:
-                q = singular._weight_term(hw, g).denominator
-                reference = [[q * c for c in row]
+            matrices = _raising_matrices(hw, raising_pencil(eta), len(basis))
+            for g, n, matrix in zip(RAISING, (hw.n1, hw.n0), matrices):
+                reference = [[n.denominator * c for c in row]
                              for row in _reference_raising_matrix(engine, g, basis, eta)]
-                assert _raising_matrix(engine.hw, g, basis, eta) == reference, (hw, eta, g)
+                assert matrix == reference, (hw, eta, g)
 
 
 def test_raising_matrix_is_integral_and_exact_at_integral_weights():
@@ -116,11 +122,46 @@ def test_raising_matrix_is_integral_and_exact_at_integral_weights():
         engine = VermaModule(hw)
         for eta in scan_drops(0, 8):
             basis = engine.weight_space_basis(eta)
-            for g in RAISING:
-                matrix = _raising_matrix(engine.hw, g, basis, eta)
+            matrices = _raising_matrices(hw, raising_pencil(eta), len(basis))
+            for g, n, matrix in zip(RAISING, (hw.n1, hw.n0), matrices):
                 assert all(type(c) is int for row in matrix for c in row), (hw, eta, g)
-                if singular._weight_term(hw, g).denominator == 1:
+                if n.denominator == 1:
                     assert matrix == _reference_raising_matrix(engine, g, basis, eta)
+
+
+def test_a_second_weight_at_a_drop_straightens_nothing(fresh_weight_free, monkeypatch):
+    # the pencil of a drop is built once; at another weight find_singular
+    # only evaluates it, and an empty kernel leaves nothing to check with act
+    fresh_weight_free()
+    eta = (4, 4)
+    assert find_singular(HighestWeight(Fraction(1, 3), Fraction(5, 2)), eta).kernel_dim == 0
+    pencil = raising_pencil(eta)
+    before = copy.deepcopy(pencil)
+    calls = []
+    uncached = VermaModule._act_basis_uncached
+
+    def counted(self, g, positive, m):
+        calls.append((g, m))
+        return uncached(self, g, positive, m)
+
+    monkeypatch.setattr(VermaModule, "_act_basis_uncached", counted)
+    assert find_singular(HighestWeight(Fraction(-7, 4), Fraction(3, 4)), eta).kernel_dim == 0
+    assert calls == [] and raising_pencil(eta) is pencil and pencil == before
+
+
+def test_quotient_straightens_no_column_in_m_f(fresh_weight_free):
+    # quotient_singular_dim builds its pencil over the columns of M(lam)/M_f
+    # only: no raising action on a monomial of f(0,0) exponent above n1
+    hw = HighestWeight(1, 2)
+    skipped = 0
+    for eta in [(3, 3), (2, 5), (0, 4), (4, 0)]:
+        free = fresh_weight_free()
+        quotient_singular_dim(hw, eta)
+        basis = free.weight_space_basis(eta)
+        straightened = {(g, m) for g, m in free._cache if g in RAISING and m in set(basis)}
+        assert straightened == {(g, m) for g in RAISING for m in basis if not _in_m_f(m, 1)}
+        skipped += sum(_in_m_f(m, 1) for m in basis)
+    assert skipped > 10
 
 
 def test_kernels_from_a_warm_memo_match_act_at_the_weight(fresh_weight_free, rng):
@@ -129,11 +170,9 @@ def test_kernels_from_a_warm_memo_match_act_at_the_weight(fresh_weight_free, rng
     # <= 10; the second pass reads every raising image from the memo that
     # the first pass filled
     free = fresh_weight_free()
-    weights = set()
-    while len(weights) < 24:
-        weights.add(HighestWeight(_random_rational(rng, -6, 6), _random_rational(rng, 0, 8)))
+    weights = drawn_weights(rng, 24)
     requests = []
-    for hw in sorted(weights):
+    for hw in weights:
         requests.append((hw, (4, 4)))
         drops = [q1_coords(p.l * p.beta) for p in is_reducible(hw).witnesses]
         requests.extend([(hw, eta) for eta in drops if sum(eta) <= 10][:1])
@@ -164,8 +203,11 @@ def test_lowering_term_reads_the_weight():
 
 
 def test_certificate_catches_a_missing_weight_term(monkeypatch):
-    # the kernel check straightens at lam, so it does not rely on the identity
-    monkeypatch.setattr(singular, "_weight_term", lambda hw, g: 0)
+    # the kernel check straightens at lam, so it does not rely on the identity:
+    # here both pencils are evaluated at n = 0, whatever the weight
+    raising_matrices = singular._raising_matrices
+    monkeypatch.setattr(singular, "_raising_matrices", lambda hw, pencil, ncols:
+                        raising_matrices(HighestWeight(0, 0), pencil, ncols))
     with pytest.raises(AssertionError, match="is not annihilated by the raising operators"):
         find_singular(HighestWeight(1, 2), (0, 1))
     out, err = io.StringIO(), io.StringIO()

@@ -1,34 +1,34 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
-Each row is scaled to a primitive integer row and kept sparse, as a dict
-column -> value; rows of ints skip the rescaling, and a dense row's
-nonzeros are picked out in C.  Every elimination step is one row update:
-a row with entry f in the pivot column becomes (p/g) row - (f/g) pivot
-row, p the pivot and g = gcd(p, f).  The elimination copies its input rows
-once and updates them in place, in one pass over the pivot row that also
-keeps the index of active rows per column; the row is scaled only when
-p/g is not 1.  Its content is divided out once, when it becomes a pivot:
-the primitive part of a row does not depend on its positive scale, so the
-pivots are those of taking the primitive part after every update.
+Rows hold ints: a caller clears a rational row's denominators first,
+which changes neither the rank nor the kernel (a nonzero ``Fraction``
+entry raises ``TypeError``).  Each row is kept sparse and primitive, as a
+dict column -> value, a dense row's nonzeros picked out in C.  Every elimination step is
+one row update: a row with entry f in the pivot column becomes
+(p/g) row - (f/g) pivot row, p the pivot and g = gcd(p, f).  The
+elimination copies its input rows once and updates them in place, in one
+pass over the pivot row that also keeps the index of active rows per
+column; the row is scaled only when p/g is not 1.  Its content is divided
+out once, when it becomes a pivot: the primitive part of a row does not
+depend on its positive scale, so the pivots are those of taking the
+primitive part after every update.
 Pivots are chosen row first: the active row with the fewest nonzeros
 (taken from a heap), in it the column with the fewest active rows, then
 the smallest entry, ties to the lowest index; only the rows meeting the
 pivot column are updated.  So rows with one entry are pivots first, as
 the sparsest rows, and their updates only delete a column.  Kernel
-vectors come from the pivot rows by back-substitution and are returned
-in a form that does not depend on the pivot order: the reduced row
-echelon form of the kernel, reached by the same row update, each vector
-a sparse primitive integer row.
+vectors come from the pivot rows by back-substitution in integers and are
+returned in a form that does not depend on the pivot order: the reduced
+row echelon form of the kernel, reached by the same row update, each
+vector a sparse primitive integer row.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress, count
-from math import gcd, lcm
-from numbers import Rational
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Sequence
 
 
 def _content_free(row: dict[int, int]) -> dict[int, int]:
@@ -36,22 +36,9 @@ def _content_free(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
-def _primitive(entries: Iterable[tuple[int, Rational]]) -> dict[int, int]:
-    nonzero = {j: c for j, c in entries if c}
-    if all(type(c) is int for c in nonzero.values()):
-        return _content_free(nonzero)
-    denom = lcm(*(c.denominator for c in nonzero.values()))
-    return _content_free({j: c.numerator * (denom // c.denominator) for j, c in nonzero.items()})
-
-
-def _sparse(row: Sequence[Rational]) -> dict[int, int]:
-    """A dense row read as ``_primitive`` reads its entries."""
-    nonzero = dict(zip(compress(count(), row), filter(None, row)))
-    try:
-        g = gcd(*nonzero.values())
-    except TypeError:  # a Fraction entry: clear the denominators first
-        return _primitive(nonzero.items())
-    return nonzero if g == 1 else {j: v // g for j, v in nonzero.items()}
+def _sparse(row: Sequence[int]) -> dict[int, int]:
+    """The primitive part of a dense integer row, as a sparse row."""
+    return _content_free(dict(zip(compress(count(), row), filter(None, row))))
 
 
 def _update(row: dict[int, int], prow: dict[int, int], pc: int) -> dict[int, int]:
@@ -90,11 +77,7 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
         n, pi = heappop(queue)
         if len(active.get(pi, ())) != n:
             continue
-        prow = active.pop(pi)
-        g = gcd(*prow.values())
-        if g != 1:
-            for j, v in prow.items():
-                prow[j] = v // g
+        prow = _content_free(active.pop(pi))
         # the column with the fewest active rows, then the smallest entry, then the lowest
         pc = min(zip(map(len, map(rows_in.__getitem__, prow)), map(abs, prow.values()), prow))[2]
         p = prow[pc]
@@ -131,12 +114,12 @@ def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     return pivots
 
 
-def rank(rows: Sequence[Sequence[Rational]]) -> int:
+def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of a matrix given as a list of rows."""
     return len(_eliminate([_sparse(row) for row in rows]))
 
 
-def nullspace(rows: Sequence[Sequence[Rational]], ncols: int) -> list[dict[int, int]]:
+def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[dict[int, int]]:
     """Basis of the right kernel {x : A x = 0}, as sparse rows column -> int.
 
     The basis is the reduced row echelon form of the kernel with each
@@ -152,12 +135,17 @@ def nullspace(rows: Sequence[Sequence[Rational]], ncols: int) -> list[dict[int, 
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        x = {fc: Fraction(1)}
+        # x <- (p/g) x, then x[pc] = -s/g, p the pivot and g = gcd(p, s)
+        x = {fc: 1}
         for pc, prow in reversed(pivots):
             s = sum(v * x[j] for j, v in prow.items() if j in x)
             if s:
-                x[pc] = -s / prow[pc]
-        rest.append(_primitive(x.items()))
+                p = prow[pc]
+                g = gcd(p, s)
+                if p != g:
+                    x = {j: p // g * c for j, c in x.items()}
+                x[pc] = -s // g
+        rest.append(_content_free(x))
     # Gauss-Jordan, lowest leading column first
     kernel: list[dict[int, int]] = []
     while rest:

@@ -310,4 +310,6 @@ def demo_infinite_dim(hw: HighestWeight, size: int) -> InfiniteDimReport:
             row.append(coeff)
         matrix.append(row)
     diag = tuple(str(matrix[i][i]) for i in range(size))
-    return InfiniteDimReport(size, diag, linalg.rank(matrix), "h(m,-1)*v")
+    # each entry is a multiple of k1, so k1's denominator clears the matrix
+    ints = [[int(c * hw.k1.denominator) for c in row] for row in matrix]
+    return InfiniteDimReport(size, diag, linalg.rank(ints), "h(m,-1)*v")

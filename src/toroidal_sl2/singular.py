@@ -121,9 +121,7 @@ def _pencil_part(g: BasisElement, basis: Sequence[PBWMonomial],
     fixed: list[int] = []
     lowering: list[int] = []
     for j, m in enumerate(basis):
-        image = free._cache.get((g, m))
-        if image is None:
-            image = free._act_basis(g, m)
+        image = free._act_basis(g, m)
         if not target and (image or any(b is partner for b, _ in m)):
             raise AssertionError(f"{g!r} does not kill {format_monomial(m)} at eta "
                                  f"{eta}, but its target weight space is empty")

@@ -1,6 +1,7 @@
 import os
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import settings
@@ -164,3 +165,13 @@ def drawn_weights(rng, count):
         weights.add(HighestWeight(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
                                   Fraction(rng.randint(0, 8), rng.randint(1, 4))))
     return sorted(weights)
+
+
+def integral_rows(a):
+    """Each row of a rational matrix scaled by the lcm of its denominators:
+    integer rows, as ``linalg`` takes them, with the rank and kernel of ``a``."""
+    out = []
+    for row in a:
+        d = lcm(*(c.denominator for c in row))
+        out.append([int(c * d) for c in row])
+    return out

@@ -223,6 +223,10 @@ GOLDEN_STDOUT = [
      "65360775b13f379c063a70c415716fc60f0953e20abfa688db6804788931bce2"),
     (("singular", "--weight", W01, "--eta", "4,8"),
      "06140e4e4c553b2e486ba228249cd4b38718462b3e1ba040c69ec6f5d64140cb"),
+    # recorded before linalg took integer rows only: a pairing matrix of
+    # rational entries, which the demo clears of k1's denominator
+    (("demos", "--weight", WTHIRD, "--size", "7"),
+     "b1dc4d1c9963120f3257a39372f054a867fe8780a8c71c93be4a71ff0e4c70a4"),
 ]
 
 
@@ -258,6 +262,7 @@ GOLDEN_STDERR = [
     "29697fd1f1fdcb260c8ca6976ecc27fc2864f1699a5b1ba9f6698f1c8ec967c0",  # 26 quotient-char
     "2ad799e4ded48fa9b702977625ce77cf881b01836e32004a9929377cb292ac15",  # 27 dims
     "7cf64300657d12eeaa9d6590cff08811e6f8cc127e9abed3424cc61409f6ab43",  # 28 singular
+    "ff89cb089e4870c98e9786dea05233e47c1e90a29237762eac125cc5fe4866d0",  # 29 demos
 ]
 
 

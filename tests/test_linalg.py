@@ -5,16 +5,15 @@ from fractions import Fraction
 from math import gcd, lcm
 import random
 
-from toroidal_sl2 import HighestWeight, demo_infinite_dim, linalg, module_for, w_multiplicity
+import pytest
+
+from toroidal_sl2 import HighestWeight, linalg, module_for, w_multiplicity
 from toroidal_sl2.quotient import _submodule_rows
 from toroidal_sl2.singular import scan_drops
 from toroidal_sl2.verma import weight_free_engine
 
-from conftest import drawn_weights, stacked_raising_rows, submodule_span
-
-
-def rows(*data):
-    return [[Fraction(x) for x in row] for row in data]
+from conftest import drawn_weights, integral_rows, stacked_raising_rows, submodule_span
+from test_cli import JSON_COMMANDS, WTHIRD, invoke
 
 
 def dense(v, ncols):
@@ -28,7 +27,7 @@ def matvec(a, v):
 
 
 def test_nullspace_known_kernel():
-    a = rows([1, 2, 3], [2, 4, 6])
+    a = [[1, 2, 3], [2, 4, 6]]
     basis = linalg.nullspace(a, 3)
     assert len(basis) == 2
     for v in basis:
@@ -36,7 +35,7 @@ def test_nullspace_known_kernel():
 
 
 def test_nullspace_full_rank():
-    a = rows([1, 0], [0, 1], [1, 1])
+    a = [[1, 0], [0, 1], [1, 1]]
     assert linalg.nullspace(a, 2) == []
 
 
@@ -45,18 +44,25 @@ def test_nullspace_empty_matrix_is_identity():
     assert [dense(v, 3) for v in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
-def test_nullspace_rational_entries():
-    a = rows([Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1])
-    basis = linalg.nullspace(a, 2)
+def test_rational_entries_are_refused():
+    # a caller clears a rational row's denominators; a Fraction is refused,
+    # even one that is an integer
+    for a in ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]], [[0, Fraction(2)]]):
+        with pytest.raises(TypeError):
+            linalg.rank(a)
+        with pytest.raises(TypeError):
+            linalg.nullspace(a, 2)
+    a = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+    basis = linalg.nullspace(integral_rows(a), 2)
     assert len(basis) == 1
     assert all(s == 0 for s in matvec(a, basis[0]))
 
 
 def test_rank():
-    assert linalg.rank(rows([1, 2], [2, 4])) == 1
-    assert linalg.rank(rows([1, 0], [0, 1])) == 2
+    assert linalg.rank([[1, 2], [2, 4]]) == 1
+    assert linalg.rank([[1, 0], [0, 1]]) == 2
     assert linalg.rank([]) == 0
-    assert linalg.rank(rows([0, 0], [0, 0])) == 0
+    assert linalg.rank([[0, 0], [0, 0]]) == 0
 
 
 def test_rank_nullity(rng):
@@ -64,8 +70,8 @@ def test_rank_nullity(rng):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         a = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
               for _ in range(ncols)] for _ in range(nrows)]
-        kernel = linalg.nullspace(a, ncols)
-        assert linalg.rank(a) + len(kernel) == ncols
+        kernel = linalg.nullspace(integral_rows(a), ncols)
+        assert linalg.rank(integral_rows(a)) + len(kernel) == ncols
         for v in kernel:
             assert all(s == 0 for s in matvec(a, v))
 
@@ -75,7 +81,7 @@ def test_kernel_vectors_are_primitive_integers(rng):
               for _ in range(3)] for _ in range(20)]
     cases += [sparse_matrix(rng, 6, 9, 0.3) for _ in range(20)]
     for a in cases:
-        kernel = linalg.nullspace(a, len(a[0]))
+        kernel = linalg.nullspace(integral_rows(a), len(a[0]))
         leads = []
         for v in kernel:
             assert all(type(c) is int and c for c in v.values())
@@ -179,13 +185,13 @@ def random_cases(rng):
 
 def test_rank_and_row_space_match_reference(rng):
     for a in random_cases(rng):
-        assert linalg.rank(a) == len(gauss_jordan(a, len(a[0]))[1])
+        assert linalg.rank(integral_rows(a)) == len(gauss_jordan(a, len(a[0]))[1])
 
 
 def test_nullspace_matches_reference(rng):
     for a in random_cases(rng):
         ncols = len(a[0])
-        kernel = linalg.nullspace(a, ncols)
+        kernel = linalg.nullspace(integral_rows(a), ncols)
         assert len(kernel) == ncols - len(gauss_jordan(a, ncols)[1])
         for v in kernel:
             assert all(s == 0 for s in matvec(a, v))
@@ -195,12 +201,12 @@ def test_nullspace_matches_reference(rng):
 def test_kernel_does_not_depend_on_row_order_or_scale(rng):
     wide = 0
     for a in random_cases(rng):
-        ncols = len(a[0])
-        kernel = linalg.nullspace(a, ncols)
+        ncols, ints = len(a[0]), integral_rows(a)
+        kernel = linalg.nullspace(ints, ncols)
         wide += len(kernel) > 1
         for _ in range(3):
-            scales = [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) for _ in a]
-            shuffled = [[s * c for c in row] for s, row in zip(scales, a)]
+            scales = [rng.choice([-3, -1, 2, 5]) * rng.randint(1, 4) for _ in a]
+            shuffled = [[s * c for c in row] for s, row in zip(scales, ints)]
             rng.shuffle(shuffled)
             assert linalg.nullspace(shuffled, ncols) == kernel
     assert wide >= 10
@@ -212,7 +218,7 @@ def test_row_first_pivoting_bounds_row_updates(monkeypatch):
     hw, eta = HighestWeight(1, 2), (8, 8)
     basis = module_for(hw).weight_space_basis(eta)
     stacked = stacked_raising_rows(hw, eta)
-    sparse = [linalg._primitive(enumerate(row)) for row in stacked]
+    sparse = [linalg._sparse(row) for row in stacked]
     # a row update leaves its row nonzero, and pushes it back on the heap,
     # or empties it; every nonzero input row ends a pivot or emptied
     pushes = 0
@@ -292,7 +298,7 @@ def shrinking_rows(rng):
             row[j] = row.get(j, 0) + rng.choice([-1, 2]) * v
         base.append({j: v for j, v in row.items() if v})
     rng.shuffle(base)
-    return [linalg._primitive(row.items()) for row in base]
+    return [linalg._content_free(row) for row in base]
 
 
 def test_heap_pivot_order_matches_linear_scan():
@@ -301,16 +307,16 @@ def test_heap_pivot_order_matches_linear_scan():
         assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
     # and on a stacked raising matrix
     stacked = stacked_raising_rows(HighestWeight(1, 2), (5, 5))
-    sparse = [linalg._primitive(enumerate(row)) for row in stacked]
+    sparse = [linalg._sparse(row) for row in stacked]
     assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
     # and on a submodule span, 87 of whose 137 rows have one entry
     span, _ = submodule_span(HighestWeight(1, 2), (6, 7))
-    sparse = [linalg._primitive(enumerate(row)) for row in span]
+    sparse = [linalg._sparse(row) for row in span]
     assert sum(len(row) == 1 for row in sparse) == 87
     assert linalg._eliminate(sparse) == _eliminate_by_scan(sparse)
     # and on the rows the quotient eliminates, 11 of whose 50 have one entry
     rows, kept = _submodule_rows(HighestWeight(1, 2), (9, 4))
-    sparse = [linalg._primitive(enumerate(row)) for row in rows]
+    sparse = [linalg._sparse(row) for row in rows]
     assert (len(sparse), len(kept)) == (50, 42)
     assert sum(len(row) == 1 for row in sparse) == 11
     pivots = linalg._eliminate(sparse)
@@ -347,22 +353,23 @@ def test_pivot_rows_are_primitive_and_match_the_scan(rng, monkeypatch):
         assert pivots == _eliminate_by_scan(sparse)
 
 
-def test_dense_rows_are_read_as_primitive_reads_them(rng, monkeypatch):
-    # ints without a denominator to clear, and Fraction rows through the lcm:
-    # the pairing matrix of the infinite-dimensionality demo at a rational
-    # level, and the random rational cases
-    matrices = []
-    rank = linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda rows: matrices.append(rows) or rank(rows))
-    demo_infinite_dim(HighestWeight(Fraction(1, 3), Fraction(5, 3)), 6)
-    assert matrices and any(type(c) is Fraction and c.denominator > 1
-                            for row in matrices[0] for c in row)
-    matrices += random_cases(rng)
-    matrices += [[[int(c * 6) for c in row] for row in a] for a in random_cases(rng)]
-    matrices += [[[0, 0]], [[Fraction(0), Fraction(3, 2)]], [[0, Fraction(4), -6]]]
-    for a in matrices:
-        for row in a:
-            assert linalg._sparse(row) == linalg._primitive(enumerate(row))
+def test_every_matrix_the_commands_hand_to_linalg_is_integral(monkeypatch):
+    # each JSON command, and the infinite-dimensionality demo at a rational
+    # level, whose pairing matrix has entries with a denominator
+    def recording(call, kept):
+        def recorded(rows, *args):
+            kept.append(rows)
+            return call(rows, *args)
+        return recorded
+
+    seen = {"rank": [], "nullspace": []}
+    for name, kept in seen.items():
+        monkeypatch.setattr(linalg, name, recording(getattr(linalg, name), kept))
+    for argv in JSON_COMMANDS + [("demos", "--weight", WTHIRD, "--size", "7")]:
+        assert invoke(*argv)[0] == 0, argv
+    assert all(seen.values())
+    for matrices in seen.values():
+        assert all(type(c) is int for rows in matrices for row in rows for c in row)
 
 
 def test_elimination_leaves_the_callers_rows_unchanged():

@@ -45,11 +45,12 @@ scratch, so every reported singular vector confirms the identity.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .algebra import BasisElement, e, f
-from .roots import Weight, dot_action, q1_coords, root_from_q1, weight_as_root
+from .roots import Weight, dot_action, q1_coords, weight_as_root
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, format_monomial, module_for,
                     weight_free_engine)
 
@@ -180,7 +181,8 @@ def find_singular(hw: HighestWeight, eta: tuple[int, int]) -> SingularCertificat
     for i, vec in enumerate(kernel):
         for g in RAISING:
             checks.append((repr(g), i, engine.act(g, vec).is_zero()))
-    weight = hw.weight() - Weight.from_root(root_from_q1(*eta))
+    a0, a1 = eta  # lam - a0 alpha0 - a1 alpha1, field by field
+    weight = Weight(hw.n1 - 2 * (a1 - a0), hw.k1, Fraction(0), hw.d1 - a0, hw.d2)
     cert = SingularCertificate(eta, weight, len(basis), tuple(kernel), tuple(checks))
     if not cert.verified():
         raise AssertionError(f"a kernel vector at eta {eta} is not "

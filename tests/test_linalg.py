@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from toroidal_sl2 import HighestWeight, linalg, module_for, w_multiplicity
+from toroidal_sl2 import HighestWeight, is_reducible, linalg, module_for, q1_coords, w_multiplicity
 from toroidal_sl2.quotient import _submodule_rows
 from toroidal_sl2.singular import scan_drops
 from toroidal_sl2.verma import weight_free_engine
@@ -56,6 +56,13 @@ def test_rational_entries_are_refused():
     basis = linalg.nullspace(integral_rows(a), 2)
     assert len(basis) == 1
     assert all(s == 0 for s in matvec(a, basis[0]))
+    # rows are read as given: a one-entry Fraction row and float rows are
+    # refused there too
+    for a in ([[0, Fraction(1, 2)]], [[1.5, 0]], [[2.0, 1]]):
+        with pytest.raises(TypeError):
+            linalg.rank(a)
+        with pytest.raises(TypeError):
+            linalg.nullspace(a, 2)
 
 
 def test_rank():
@@ -256,7 +263,9 @@ def test_submodule_span_rank_at_8_8():
 
 
 def _eliminate_by_scan(rows):
-    """Reference pivot order: a linear scan over the active rows per pivot."""
+    """Reference pivot order: a linear scan over the active rows per pivot.
+
+    Rows are read as given, and each pivot row is divided by its content."""
     active = {i: row for i, row in enumerate(rows) if row}
     pivots = []
     rows_in = {}
@@ -265,7 +274,7 @@ def _eliminate_by_scan(rows):
             rows_in.setdefault(j, set()).add(i)
     while active:
         pi = min(active, key=lambda i: (len(active[i]), i))
-        prow = active.pop(pi)
+        prow = linalg._content_free(active.pop(pi))
         pc = min(prow, key=lambda j: (len(rows_in[j]), abs(prow[j]), j))
         for j in prow:
             rows_in[j].discard(pi)
@@ -328,6 +337,34 @@ def test_heap_pivot_order_matches_linear_scan():
                {0: 1, 1: 2, 3: 1}, {0: 3, 2: 5}]
     pivots = linalg._eliminate(cascade)
     assert pivots == _eliminate_by_scan(cascade) and len(pivots) == 4
+
+
+def test_unit_pivots_only_delete_their_column(monkeypatch):
+    # a pivot row of one entry becomes +-1, and each row meeting its column
+    # loses that entry: no gcd, for the pivot or for the rows it updates.
+    # Rows of one entry, two of them in column 2, and the cascade of
+    # test_heap_pivot_order_matches_linear_scan, whose four pivots all have
+    # one entry when they are taken
+    units = [{2: -3}, {0: 5}, {2: 4}, {1: -1}, {0: -2}, {3: 7}]
+    cascade = [{0: 2, 1: 3}, {1: -1}, {0: 1, 2: 1, 3: 4}, {1: 1}, {1: 5, 2: 7},
+               {0: 1, 1: 2, 3: 1}, {0: 3, 2: 5}]
+    calls = 0
+    real_gcd = linalg.gcd
+
+    def counted_gcd(*args):
+        nonlocal calls
+        calls += 1
+        return real_gcd(*args)
+
+    for rows, rank in [(units, 4), (cascade, 4)]:
+        monkeypatch.setattr(linalg, "gcd", counted_gcd)
+        pivots = linalg._eliminate(rows)
+        monkeypatch.setattr(linalg, "gcd", real_gcd)
+        assert calls == 0
+        assert len(pivots) == rank
+        assert all(prow == {pc: 1} or prow == {pc: -1} for pc, prow in pivots)
+        assert pivots == _eliminate_by_scan(rows)
+    assert dict(linalg._eliminate(units)) == {2: {2: -1}, 0: {0: 1}, 1: {1: -1}, 3: {3: 1}}
 
 
 def test_pivot_rows_are_primitive_and_match_the_scan(rng, monkeypatch):
@@ -414,3 +451,19 @@ def test_production_matrices_match_reference(rng):
                 assert_matches_reference(rows, len(kept))
                 blocks += 1
     assert blocks > 50
+
+
+def test_kernels_at_witnesses_beside_the_probe_match_reference():
+    # rational weights whose first resonance witness l beta lies next to the
+    # (4, 4) probe, so that the stacked matrix at that drop has a kernel.  No weight
+    # of level k1 >= 0 has a witness at (4, 4) itself: beta = +-alpha + k delta1
+    # puts l beta at (l k, l (k +- 1)), off the diagonal
+    for n1, k1, eta in [(-10, Fraction(1, 2), (4, 5)), (Fraction(-17, 2), Fraction(1, 8), (4, 5)),
+                        (8, Fraction(1, 2), (4, 3)), (Fraction(22, 3), Fraction(1, 3), (4, 3))]:
+        hw = HighestWeight(n1, k1)
+        witness = is_reducible(hw).witnesses[0]
+        assert q1_coords(witness.l * witness.beta) == eta
+        stacked = stacked_raising_rows(hw, eta)
+        ncols = len(weight_free_engine().weight_space_basis(eta))
+        assert linalg.nullspace(stacked, ncols)
+        assert_matches_reference(stacked, ncols)

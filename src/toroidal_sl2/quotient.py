@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg
@@ -38,7 +37,7 @@ from .algebra import e, f, h
 # bench/tracer.py wraps quotient.dot_action by name, so the import stays
 from .roots import dot_action  # noqa: F401
 from .singular import (RAISING, _RAISING_DROP, _pencil_part, _raising_matrices,
-                       dot_orbit_drops)
+                       _require_dominant, dot_orbit_drops)
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, dim_oracle, format_monomial,
                     module_for, weight_free_engine)
 
@@ -55,13 +54,6 @@ class QuotientSpace(namedtuple("QuotientSpace", "eta ambient_dim submodule_dim q
                 f"quotient dimension {quotient_dim} at eta {eta} is not "
                 f"ambient {ambient_dim} - submodule {submodule_dim} >= 0")
         return tuple.__new__(cls, (eta, ambient_dim, submodule_dim, quotient_dim))
-
-
-def _require_dominant(hw: HighestWeight) -> tuple[int, int]:
-    if not hw.is_dominant_integral():
-        raise ValueError("quotient computations require n1 and n0 = k1 - n1 "
-                         f"to be nonnegative integers (n1={hw.n1}, n0={hw.n0})")
-    return hw.n1.numerator, hw.k1.numerator - hw.n1.numerator
 
 
 def _in_m_f(m: PBWMonomial, n1: int) -> bool:
@@ -130,27 +122,22 @@ def w_multiplicity(hw: HighestWeight, eta: tuple[int, int]) -> QuotientSpace:
     return QuotientSpace(eta, ambient, sub, ambient - sub)
 
 
-@lru_cache(maxsize=64)  # a scan walks each Weyl chain once per height
-def _orbit_drops(hw: HighestWeight, height: int) -> tuple[tuple[int, tuple[int, int]], ...]:
-    return tuple(dot_orbit_drops(hw, height))
-
-
 def lchar_oracle(hw: HighestWeight, eta: tuple[int, int]) -> int:
     """Multiplicity in the irreducible quotient, by the alternating sum
     of shifted-orbit Verma multiplicities.
 
     dim L_(lam - eta) = sum over Weyl words w of (-1)^len(w) *
     K(eta - (lam - w.lam)), with K the partition count of ``dim_oracle``.
-    Words come from ``dot_orbit_drops`` up to the height of eta: a word
-    with a higher drop contributes K = 0.
+    Words come from ``dot_orbit_drops`` up to the height of eta (a word
+    with a higher drop contributes K = 0), which raises ValueError unless
+    lam is dominant integral.
     """
-    _require_dominant(hw)
 
     def kostant(a0: int, a1: int) -> int:
         return dim_oracle((a0, a1)) if a0 >= 0 and a1 >= 0 else 0
 
     total = kostant(*eta)
-    for length, (d0, d1) in _orbit_drops(hw, eta[0] + eta[1]):
+    for length, (d0, d1) in dot_orbit_drops(hw, eta[0] + eta[1]):
         total += (-1) ** length * kostant(eta[0] - d0, eta[1] - d1)
     if total < 0:
         raise AssertionError(f"character oracle is negative ({total}) at eta {eta}")

@@ -50,7 +50,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .algebra import BasisElement, e, f
-from .roots import Weight, dot_action, q1_coords, weight_as_root
+from .roots import Weight
+# bench/tracer.py wraps singular.dot_action by name, so the import stays
+from .roots import dot_action  # noqa: F401
 from .verma import (HighestWeight, ModuleVector, PBWMonomial, format_monomial, module_for,
                     weight_free_engine)
 
@@ -201,45 +203,48 @@ def scan_weights(hw: HighestWeight, depth: int) -> dict[tuple[int, int], int]:
             if (dim := find_singular(hw, eta).kernel_dim)}
 
 
+def _require_dominant(hw: HighestWeight) -> tuple[int, int]:
+    """(n1, n0) as ints; ValueError unless both are nonnegative integers."""
+    if not hw.is_dominant_integral():
+        raise ValueError("the dot orbit and the quotient require n1 and n0 = k1 - n1 "
+                         f"to be nonnegative integers (n1={hw.n1}, n0={hw.n0})")
+    return hw.n1.numerator, hw.k1.numerator - hw.n1.numerator
+
+
 def dot_orbit_drops(hw: HighestWeight, height: int) -> list[tuple[int, tuple[int, int]]]:
     """(word length, drop lam - w.lam) for Weyl words w with drop height <= height.
 
     The affine Weyl group is infinite dihedral on the two simple
     reflections; its nontrivial elements are the alternating words starting
-    with r0 or r1.  For dominant integral lam the drop heights grow strictly
-    with word length, so each chain stops at its first overflow.
+    with r0 (listed first) or r1.  Each chain walks the drop (a0, a1) of
+    mu = lam - a0 alpha0 - a1 alpha1 in simple-root coordinates: one more
+    reflection r_i on the left subtracts mu(alpha_i^vee) + 1 times alpha_i,
+    so a_i grows by n_i + 2(a_j - a_i) + 1, j the other node and n0 = k1 - n1.
+    For dominant integral lam every step is positive, so the heights grow
+    strictly and each chain stops at its first overflow.
     """
-    if not hw.is_dominant_integral():
-        raise ValueError("dot-orbit comparison requires a dominant integral weight")
-    lam = hw.weight()
+    n1, n0 = _require_dominant(hw)
+    n = (n0, n1)  # lam(alpha_i^vee) by node i
     out: list[tuple[int, tuple[int, int]]] = []
-    for letter in ("r0", "r1"):
-        mu, length = lam, 0
+    for i in (0, 1):
+        drop, length = [0, 0], 0
         while True:
-            # one more reflection on the left of the alternating word
-            mu = dot_action([letter], mu)
+            step = n[i] + 2 * (drop[1 - i] - drop[i]) + 1
+            if step <= 0:
+                raise AssertionError(f"a dot-orbit step at drop {tuple(drop)} does not "
+                                     "raise the height")
+            drop[i] += step
             length += 1
-            coords = _drop_coords(lam - mu)
-            if coords[0] + coords[1] > height:
+            if drop[0] + drop[1] > height:
                 break
-            out.append((length, coords))
-            if length > 4 * height + 4:
-                raise AssertionError("dot-orbit enumeration failed to terminate")
-            letter = "r1" if letter == "r0" else "r0"
+            out.append((length, (drop[0], drop[1])))
+            i = 1 - i
     return out
 
 
 def dot_orbit_etas(hw: HighestWeight, depth: int) -> list[tuple[int, int]]:
     """Drops lam - w.lam within the depth, over the affine Weyl group."""
     return sorted({drop for _, drop in dot_orbit_drops(hw, depth)})
-
-
-def _drop_coords(drop: Weight) -> tuple[int, int]:
-    try:
-        return q1_coords(weight_as_root(drop))
-    except ValueError:
-        raise AssertionError(f"dot-orbit drop {drop.to_json()} is not a nonnegative "
-                             "integral combination of alpha0 and alpha1") from None
 
 
 class OrbitScanReport(NamedTuple):

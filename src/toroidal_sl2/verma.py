@@ -62,8 +62,8 @@ class HighestWeight(namedtuple("HighestWeight", "n1 k1 d1 d2")):
 
     lam(c2) is identically 0 and the derived value n0 = k1 - n1 equals
     lam(alpha0_check).  The d-values only shift weights and default to 0.
-    Every field is a Fraction.  A tuple, so the engine registry and the
-    memos keyed on it hash it in C.
+    Every field is a Fraction.  A tuple, so the engine registry keyed on it
+    hashes it in C.
     """
 
     __slots__ = ()
@@ -276,13 +276,15 @@ class VermaModule:
             for j in range(1, a - 1):
                 self._act_basis(g, ((lead, j),) + m[1:])
         out: dict[PBWMonomial, Rational] = {}
+        deg = 0  # deg(m), read once, at the first term lead does not precede
         for m2, c2 in self._act_basis(g, tail).items():
             # termination: the degree-preserving part of g*tail is the
             # sorted multiset of its letters, so lead re-attaches directly.
-            if (m2 and kl < m2[0][0].key
-                    and monomial_degree(m2) >= monomial_degree(m)):
-                raise AssertionError(f"straightening: {lead!r} does not re-attach "
-                                     f"to {format_monomial(m2)}")
+            if m2 and kl < m2[0][0].key:
+                deg = deg or monomial_degree(m)
+                if monomial_degree(m2) >= deg:
+                    raise AssertionError(f"straightening: {lead!r} does not re-attach "
+                                         f"to {format_monomial(m2)}")
             add_scaled(out, self._act_basis(lead, m2), c2)
         for b, cb in bracket(g, lead).items():
             add_scaled(out, self._act_basis(b, tail), cb)

@@ -270,13 +270,13 @@ def test_dot_orbit_drops_walk_both_chains():
 
 
 def test_dot_orbit_drops_match_full_words():
-    # each chain step is one reflection on the previous weight; the
-    # reference rebuilds the alternating word and applies all of it
-    for n1 in range(4):
-        for n0 in range(4):
-            hw = HighestWeight(n1, n1 + n0)
+    # the chain steps in simple-root coordinates; the reference rebuilds the
+    # alternating word and applies all of it to the Weight, d-values included
+    for n1 in range(7):
+        for n0 in range(7):
+            hw = HighestWeight(n1, n1 + n0, d1=n1 - n0, d2=Fraction(n0, 3))
             lam = hw.weight()
-            for height in range(15):
+            for height in range(41):
                 expected = []
                 for first, other in (("r0", "r1"), ("r1", "r0")):
                     word = [first]

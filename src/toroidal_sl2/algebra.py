@@ -23,7 +23,7 @@ from functools import lru_cache
 import re
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .roots import RootVector, Rational, frac
+from .roots import RootVector, Rational, frac, is_positive
 
 E, F, H = "e", "f", "h"
 
@@ -41,11 +41,13 @@ class BasisElement:
 
     Interned: ``BasisElement(kind, degree)`` returns the one object for its
     fields, so the engine memos keyed on generators hash and compare them
-    by identity, in C.  ``key`` is its ``basis_sort_key``, computed once.
-    Pickles and copies return the same object.
+    by identity, in C.  Each letter computes once its ``key``, the
+    ``basis_sort_key``, and its sign ``positive``: None for a Cartan
+    letter, else whether its root is positive.  Straightening reads the
+    sign to pick a memo.  Pickles and copies return the same object.
     """
 
-    __slots__ = ("kind", "degree", "key")
+    __slots__ = ("kind", "degree", "key", "positive")
 
     def __new__(cls, kind: str, degree: Optional[tuple[int, int]]) -> "BasisElement":
         self = _LETTERS.get((kind, degree))
@@ -54,6 +56,7 @@ class BasisElement:
             self.kind, self.degree = kind, degree
             self.key = ((1, _CONST_RANK[kind]) if degree is None
                         else (0, -degree[1], -degree[0], _KIND_RANK[kind]))
+            self.positive = None if is_cartan(self) else is_positive(weight_of(self))
         return self
 
     def __reduce__(self):
@@ -78,14 +81,6 @@ def h(m: int, n: int) -> BasisElement:
     return BasisElement(H, (m, n))
 
 
-C1 = BasisElement("c1", None)
-C2 = BasisElement("c2", None)
-D1 = BasisElement("d1", None)
-D2 = BasisElement("d2", None)
-
-_CONSTANTS = {"c1": C1, "c2": C2, "d1": D1, "d2": D2}
-
-
 def is_cartan(b: BasisElement) -> bool:
     """True for elements of the Cartan subalgebra: h(0,0), c1, c2, d1, d2."""
     return b.degree is None or (b.kind == H and b.degree == (0, 0))
@@ -100,6 +95,14 @@ def weight_of(b: BasisElement) -> RootVector:
         return RootVector(0, 0, 0)
     m, n = b.degree
     return RootVector(ALPHA_COEFF[b.kind], m, n)
+
+
+C1 = BasisElement("c1", None)
+C2 = BasisElement("c2", None)
+D1 = BasisElement("d1", None)
+D2 = BasisElement("d2", None)
+
+_CONSTANTS = {"c1": C1, "c2": C2, "d1": D1, "d2": D2}
 
 
 def basis_sort_key(b: BasisElement) -> tuple:

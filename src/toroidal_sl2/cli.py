@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .algebra import bracket, format_element, parse_element, basis_sort_key
@@ -27,7 +26,7 @@ from .quotient import (demo_infinite_dim, demo_nonintegrability, lchar_oracle,
 from .reducibility import ReducibilityReport, kk_pairs, sufficient_kmax
 from .roots import (RootVector, Weight, classify, dot_action, is_positive,
                     reflect, roots_in_box, NOT_ROOT)
-from .singular import find_singular, orbit_report, scan_drops
+from .singular import _map_etas, find_singular, orbit_report, scan_drops, scan_weights
 from .verma import HighestWeight, dim_oracle, weight_free_engine
 
 
@@ -142,32 +141,10 @@ def _run_dims(args) -> Report:
             f"all_match={all(r['match'] for r in rows)}")
 
 
-def _kernel_dim(hw: HighestWeight, eta: tuple[int, int]) -> int:
-    return find_singular(hw, eta).kernel_dim
-
-
 def _quotient_row(hw: HighestWeight, eta: tuple[int, int]) -> dict:
     q = w_multiplicity(hw, eta)
     return {"eta": list(eta), "ambient": q.ambient_dim, "submodule": q.submodule_dim,
             "quotient": q.quotient_dim, "l_oracle": lchar_oracle(hw, eta)}
-
-
-def _map_etas(job: Callable, hw: HighestWeight, etas: list[tuple[int, int]],
-              jobs: int) -> list:
-    """[job(hw, eta) for eta in etas], on at most ``jobs`` processes.
-
-    The pool never has more workers than the processors this process may
-    run on (its CPU affinity, where the platform reports one); with one
-    worker the jobs run in this process.
-    """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(jobs, cpus)
-    if workers == 1:
-        return [job(hw, eta) for eta in etas]
-    from concurrent.futures import ProcessPoolExecutor  # --jobs 1 never pays for it
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, [hw] * len(etas), etas))
 
 
 def _run_singular(args) -> Report:
@@ -182,9 +159,7 @@ def _run_singular(args) -> Report:
                 f"eta={eta}: kernel dimension {cert.kernel_dim} "
                 f"in a {cert.basis_dim}-dimensional weight space")
     _at_least("depth", args.depth, 1)
-    etas = scan_drops(1, args.depth)
-    found = {eta: dim for eta, dim in zip(etas, _map_etas(_kernel_dim, hw, etas, args.jobs))
-             if dim}
+    found = scan_weights(hw, args.depth, args.jobs)
     return ({"weight": w.to_json(), "depth": args.depth},
             orbit_report(hw, args.depth, found).to_json(),
             f"depth {args.depth}: singular weights at {sorted(found)}")

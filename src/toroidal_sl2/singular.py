@@ -45,8 +45,9 @@ scratch, so every reported singular vector confirms the identity.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .algebra import BasisElement, e, f
@@ -197,10 +198,30 @@ def scan_drops(low: int, depth: int) -> list[tuple[int, int]]:
     return [(a0, total - a0) for total in range(low, depth + 1) for a0 in range(total + 1)]
 
 
-def scan_weights(hw: HighestWeight, depth: int) -> dict[tuple[int, int], int]:
-    """Nonzero kernel dimensions for every eta with 1 <= a0 + a1 <= depth."""
-    return {eta: dim for eta in scan_drops(1, depth)
-            if (dim := find_singular(hw, eta).kernel_dim)}
+def _map_etas(job: Callable, hw: HighestWeight, etas: list[tuple[int, int]],
+              jobs: int) -> list:
+    """[job(hw, eta) for eta in etas], on at most ``jobs`` processes.
+
+    The pool never has more workers than the processors this process may
+    run on (its CPU affinity, where the platform reports one); with one
+    worker the jobs run in this process.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, cpus)
+    if workers == 1:
+        return [job(hw, eta) for eta in etas]
+    from concurrent.futures import ProcessPoolExecutor  # --jobs 1 never pays for it
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(job, [hw] * len(etas), etas))
+
+
+def scan_weights(hw: HighestWeight, depth: int, jobs: int = 1) -> dict[tuple[int, int], int]:
+    """Nonzero kernel dimensions for every eta with 1 <= a0 + a1 <= depth,
+    on at most ``jobs`` processes."""
+    etas = scan_drops(1, depth)
+    certs = _map_etas(find_singular, hw, etas, jobs)
+    return {eta: cert.kernel_dim for eta, cert in zip(etas, certs) if cert.kernel_dim}
 
 
 def _require_dominant(hw: HighestWeight) -> tuple[int, int]:

@@ -29,13 +29,17 @@ enumerated.
 Exact arithmetic, once.  Coefficients are ``int`` while integral and
 ``Fraction`` only where a non-integral weight field enters; both print and
 compare alike, so reports do not depend on which one a value is.  Each
-engine memoizes positive letters on monomials, and Cartan letters are read
-off the weight.  Negative letters and level-0 bases do not depend on the
-weight.  The engine at weight zero (``weight_free_engine``), never evicted,
-memoizes every action that does not read the weight: negative letters for
-every engine and for the quotient's words, and the raising matrices
-``singular`` straightens once for all.  ``module_for`` keeps the engine of
-the last weight asked for, for the certificates and demos at the weight.
+letter carries its sign (``BasisElement.positive``), and
+``VermaModule._act_basis``, the only code that reads or fills a
+straightening memo, picks the memo by it: each engine memoizes positive
+letters on monomials, and Cartan letters are read off the weight.
+Negative letters and level-0 bases do not depend on the weight.  The
+engine at weight zero (``weight_free_engine``), never evicted, memoizes
+every action that does not read the weight: negative letters for every
+engine and for the quotient's words, and the raising matrices
+``singular`` straightens once for all.  ``module_for`` keeps the engine
+of the last weight asked for, for the certificates and demos at the
+weight.
 """
 
 from __future__ import annotations
@@ -43,14 +47,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from itertools import product
 from typing import Optional, Sequence, Union
 
 from .algebra import (ALPHA_COEFF, AlgebraElement, BasisElement, H,
                       LinearCombination, add_scaled, basis_sort_key, bracket,
-                      e, f, format_terms, h, is_cartan, weight_of)
-from .roots import Weight, Rational, frac, is_positive
+                      e, f, format_terms, h)
+from .roots import Weight, Rational, frac
 
 PBWMonomial = tuple[tuple[BasisElement, int], ...]
 
@@ -99,14 +103,6 @@ class HighestWeight(namedtuple("HighestWeight", "n1 k1 d1 d2")):
 
 def monomial_degree(m: PBWMonomial) -> int:
     return sum(a for _, a in m)
-
-
-# Unbounded, as it classifies only letters a run acts with or meets:
-# O(D) letters on a level-0 scan to depth D, as algebra interns.
-@lru_cache(maxsize=None)
-def _positive(g: BasisElement) -> Optional[bool]:
-    """None for a Cartan generator, else whether the root of g is positive."""
-    return None if is_cartan(g) else is_positive(weight_of(g))
 
 
 def format_monomial(m: PBWMonomial) -> str:
@@ -217,9 +213,10 @@ def _level0_basis(a0: int, a1: int) -> list[PBWMonomial]:
 class VermaModule:
     """The module engine for one highest weight.
 
-    All methods are pure.  Positive letters (``_cache``) are memoized per
-    instance; negative letters go to the ``_cache`` of the engine at weight
-    zero, shared by every engine, and Cartan letters are not memoized.
+    All methods are pure.  ``_act_basis`` alone reads and fills the memos,
+    picked by the sign the letter carries: positive letters go to this
+    instance's ``_cache``, negative letters to the ``_cache`` of the engine
+    at weight zero, shared by every engine, and Cartan letters to none.
     """
 
     def __init__(self, hw: HighestWeight):
@@ -233,8 +230,7 @@ class VermaModule:
     # -- single generator action ------------------------------------------
 
     def _act_basis(self, g: BasisElement, m: PBWMonomial) -> dict[PBWMonomial, Rational]:
-        positive = _positive(g)
-        if positive is None:
+        if g.positive is None:
             # Cartan elements act diagonally: m*v has weight lam + wt(m), and
             # wt(m) adds the integers 2a to h, n1 to d1, n2 to d2, 0 to c1, c2.
             # Read off each time: a memo of these is almost never read back.
@@ -249,29 +245,30 @@ class VermaModule:
         # generator or zero, never a Cartan or central term: lam is never
         # read.  Those actions go to the weight-zero engine's memo, shared by
         # every engine, so it grows with the depth scanned, not the weights.
-        memo = self._cache if positive else weight_free_engine()._cache
+        memo = self._cache if g.positive else weight_free_engine()._cache
         hit = memo.get((g, m))
         if hit is None:
-            hit = memo[(g, m)] = self._act_basis_uncached(g, positive, m)
+            hit = memo[(g, m)] = self._act_basis_uncached(g, m, memo)
         return hit
 
-    def _act_basis_uncached(self, g: BasisElement, positive: bool,
-                            m: PBWMonomial) -> dict[PBWMonomial, Rational]:
+    def _act_basis_uncached(self, g: BasisElement, m: PBWMonomial,
+                            memo: dict) -> dict[PBWMonomial, Rational]:
+        """The miss path of ``_act_basis``, handed the memo it fills."""
         if not m:
-            return {} if positive else {((g, 1),): 1}
+            return {} if g.positive else {((g, 1),): 1}
         (lead, a) = m[0]
         kl = lead.key
-        if not positive:
+        if not g.positive:
             if g == lead:
                 return {((lead, a + 1),) + m[1:]: 1}
             if g.key > kl:
                 return {((g, 1),) + m: 1}
         # m must be canonical, else a negative g reads lam into the shared memo
-        if _positive(lead) is not False:
+        if lead.positive is not False:
             raise ValueError(f"{format_monomial(m)} is not a canonical monomial")
         # g must move right: g * lead^a * rest = lead * (g * tail) + [g, lead] * tail
         tail = ((lead, a - 1),) + m[1:] if a > 1 else m[1:]
-        if a > 2 and (g, tail) not in (self._cache if positive else weight_free_engine()._cache):
+        if a > 2 and (g, tail) not in memo:
             # g on lead^j * rest first, j = 1 .. a-2, each onto the one below
             for j in range(1, a - 1):
                 self._act_basis(g, ((lead, j),) + m[1:])
@@ -297,21 +294,12 @@ class VermaModule:
     # -- public action ------------------------------------------------------
 
     def act(self, x: Union[AlgebraElement, BasisElement], v: ModuleVector) -> ModuleVector:
-        """Action of an algebra element, straightened to canonical form.  Each
-        generator picks its memo once, as ``_act_basis`` would; each term reads it once."""
+        """Action of an algebra element, straightened to canonical form, one
+        ``_act_basis`` per generator and term: it alone reads the memos."""
         out: dict[PBWMonomial, Rational] = {}
         for b, cb in ((x, 1),) if isinstance(x, BasisElement) else x.items():
-            positive = _positive(b)
-            if positive is None:
-                for m, cm in v.items():
-                    add_scaled(out, self._act_basis(b, m), cb * cm)
-                continue
-            memo = self._cache if positive else weight_free_engine()._cache
             for m, cm in v.items():
-                hit = memo.get((b, m))
-                if hit is None:
-                    hit = memo[(b, m)] = self._act_basis_uncached(b, positive, m)
-                add_scaled(out, hit, cb * cm)
+                add_scaled(out, self._act_basis(b, m), cb * cm)
         return ModuleVector._wrap(out)
 
     def apply_word(self, word: Sequence[tuple[BasisElement, int]],

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from toroidal_sl2 import (AlgebraElement, BasisElement, ModuleVector,
                           RootVector, bracket, e, f, format_element, h,
-                          parse_element, weight_of)
-from toroidal_sl2.algebra import C1, C2, D1, D2, add_scaled, basis_sort_key
+                          is_positive, parse_element, weight_of)
+from toroidal_sl2.algebra import C1, C2, D1, D2, add_scaled, basis_sort_key, is_cartan
 
 from conftest import random_basis_element
 
@@ -82,6 +82,20 @@ def test_basis_element_pickle_round_trip():
         back = pickle.loads(pickle.dumps(b))
         assert type(back) is BasisElement
         assert back == b and hash(back) == hash(b) and repr(back) == repr(b)
+
+
+def test_each_letter_carries_the_sign_of_its_root():
+    # straightening picks a memo by this sign, so it must be the partition's
+    # on every letter, however the letter was made
+    def sign(b):
+        return None if is_cartan(b) else is_positive(weight_of(b))
+    letters = [mk(m, n) for mk in (e, f, h) for m in range(-6, 7) for n in range(-6, 7)]
+    letters += [C1, C2, D1, D2]
+    for b in letters:
+        (parsed, _), = parse_element(repr(b)).items()
+        for x in (b, pickle.loads(pickle.dumps(b)), copy.deepcopy(b), parsed):
+            assert x.positive is sign(x)
+    assert {b.positive for b in letters} == {None, True, False}
 
 
 def test_sort_key_is_a_strict_total_order():

@@ -394,10 +394,10 @@ class RecordingPool:
                                                  (4, "3", 3), (None, "2", None)])
 def test_jobs_capped_at_cpu_count(command, cpus, jobs, pool_size, monkeypatch):
     # as on platforms that report no CPU affinity
-    monkeypatch.delattr("toroidal_sl2.cli.os.sched_getaffinity", raising=False)
+    monkeypatch.delattr("toroidal_sl2.singular.os.sched_getaffinity", raising=False)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr("toroidal_sl2.cli.os.cpu_count", lambda: cpus)
+    monkeypatch.setattr("toroidal_sl2.singular.os.cpu_count", lambda: cpus)
     _, serial, _ = invoke(command[0], "--weight", W11, *command[1:])
     code, out, _ = invoke(command[0], "--weight", W11, *command[1:], "--jobs", jobs)
     assert code == 0 and out == serial
@@ -409,8 +409,8 @@ def test_jobs_capped_at_cpu_count(command, cpus, jobs, pool_size, monkeypatch):
 def test_jobs_capped_at_cpu_affinity(command, monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr("toroidal_sl2.cli.os.cpu_count", lambda: 64)
-    monkeypatch.setattr("toroidal_sl2.cli.os.sched_getaffinity", lambda pid: {0, 2, 5},
+    monkeypatch.setattr("toroidal_sl2.singular.os.cpu_count", lambda: 64)
+    monkeypatch.setattr("toroidal_sl2.singular.os.sched_getaffinity", lambda pid: {0, 2, 5},
                         raising=False)
     code, _, _ = invoke(command[0], "--weight", W11, *command[1:], "--jobs", "8")
     assert code == 0 and RecordingPool.sizes == [3]

@@ -140,9 +140,9 @@ def test_a_second_weight_at_a_drop_straightens_nothing(fresh_weight_free, monkey
     calls = []
     uncached = VermaModule._act_basis_uncached
 
-    def counted(self, g, positive, m):
+    def counted(self, g, m, memo):
         calls.append((g, m))
-        return uncached(self, g, positive, m)
+        return uncached(self, g, m, memo)
 
     monkeypatch.setattr(VermaModule, "_act_basis_uncached", counted)
     assert find_singular(HighestWeight(Fraction(-7, 4), Fraction(3, 4)), eta).kernel_dim == 0

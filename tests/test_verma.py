@@ -438,8 +438,9 @@ class TestEngineMemos:
             assert not any(is_negative(g) for g, _ in eng._cache)
 
     def test_act_memoizes_each_letter_where_act_basis_does(self, fresh_weight_free):
-        # act picks a letter's memo itself: negative letters go to the memo
-        # at weight zero, positive ones to the engine's, Cartan ones nowhere
+        # act reads each letter's memo through _act_basis: negative letters go
+        # to the memo at weight zero, positive ones to the engine's, Cartan
+        # ones nowhere
         free = fresh_weight_free()
         eng = VermaModule(HighestWeight(Fraction(1, 2), 3, d1=2))
         v = ModuleVector({m: i + 1 for i, m in enumerate(eng.weight_space_basis((2, 3)))})
@@ -463,9 +464,9 @@ class TestEngineMemos:
         calls = []
         uncached = VermaModule._act_basis_uncached
 
-        def counted(self, g, positive, m):
+        def counted(self, g, m, memo):
             calls.append((g, m))
-            return uncached(self, g, positive, m)
+            return uncached(self, g, m, memo)
 
         monkeypatch.setattr(VermaModule, "_act_basis_uncached", counted)
         eng = VermaModule(HighestWeight(1, 2))
@@ -497,6 +498,24 @@ class TestEngineMemos:
                 [warm._act_basis(g, ((lead, a),) + rest) for a in range(1, 41)][-1]
             assert (g, ((lead, 39),) + rest) in cold._cache
         assert cold._cache == warm._cache
+
+    def test_a_high_power_straightens_in_linear_time(self, fresh_weight_free, monkeypatch):
+        # a raising letter on f(0,0)^400 or e(-1,0)^400 memoizes each lower
+        # power once, bottom up; without the probe of the memo before that
+        # loop, each power reruns it and the calls grow with the square
+        fresh_weight_free()
+        calls = []
+        act_basis = VermaModule._act_basis
+
+        def counted(self, g, m):
+            calls.append(g)
+            return act_basis(self, g, m)
+
+        monkeypatch.setattr(VermaModule, "_act_basis", counted)
+        for eta in [(0, 400), (400, 0)]:
+            calls.clear()
+            find_singular(HighestWeight(1, 2), eta)
+            assert 0 < len(calls) <= 8 * sum(eta)
 
     def test_memoized_basis_matches_fresh_enumeration(self):
         hw = HighestWeight(1, 2)
